@@ -4,24 +4,35 @@
  * BatchedDnc engine vs batch size B in {1, 4, 16, 64}, against the
  * sequential one-Dnc-at-a-time baseline. Emits BENCH_batched.json so the
  * serving-throughput trajectory accumulates across PRs (CI uploads it as
- * an artifact; local single-core runs only show the weight-streaming and
+ * an artifact; single-core runs only show the weight-streaming and
  * overhead-amortization component of the win — the lane-parallel
  * component needs hardware threads).
  *
- * Before timing anything the harness cross-checks the engine bit-for-bit
- * against per-lane reference Dnc runs, the same refusal gate
- * bench_hot_path uses: never benchmark unequal computations.
+ * A second section times the controller alone at the pipelined shard
+ * coordinator's shape (8 lanes swept in batches of 4): eight per-lane
+ * Controllers, each with its own weights, against one shared-weight
+ * BatchedController. It reports the median, min and max of several
+ * trials in microseconds per lane-step.
+ *
+ * Before timing anything the harness cross-checks the engine and the
+ * batched controller bit-for-bit against per-lane references, the same
+ * refusal gate bench_hot_path uses: never benchmark unequal
+ * computations.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bench_env.h"
 #include "common/random.h"
+#include "dnc/controller.h"
 #include "dnc/dnc.h"
+#include "serve/batched_controller.h"
 #include "serve/batched_dnc.h"
 
 namespace hima {
@@ -70,6 +81,114 @@ crossCheck()
     return true;
 }
 
+// The pipelined shard coordinator's controller shape: kCoordLanes lanes
+// swept kCoordBatch at a time.
+constexpr Index kCoordLanes = 8;
+constexpr Index kCoordBatch = 4;
+constexpr int kControllerTrials = 5;
+
+/**
+ * Per-lane Controllers (one weight copy each) and one BatchedController
+ * fed the same inputs and read vectors. The reads stand in for the
+ * memory, so only controller work is timed.
+ */
+struct ControllerRig
+{
+    DncConfig cfg;
+    std::vector<std::unique_ptr<Controller>> perLane;
+    BatchedController batched;
+    std::vector<Vector> inputs;
+    std::vector<std::vector<Vector>> reads;
+    std::vector<Vector> outPerLane;
+    std::vector<Vector> outBatched;
+
+    explicit ControllerRig(const DncConfig &config)
+        : cfg(config), batched(config, 3), outPerLane(config.batchSize),
+          outBatched(config.batchSize)
+    {
+        Rng rng(29);
+        for (Index lane = 0; lane < cfg.batchSize; ++lane) {
+            Rng weights(3);
+            perLane.push_back(std::make_unique<Controller>(cfg, weights));
+            inputs.push_back(rng.normalVector(cfg.inputSize));
+            reads.emplace_back();
+            for (Index h = 0; h < cfg.readHeads; ++h)
+                reads.back().push_back(rng.normalVector(cfg.memoryWidth));
+            // The per-lane controllers see these reads as every step's
+            // previous reads; the batched feed takes them from here.
+            batched.setReads(lane, reads[lane]);
+        }
+    }
+
+    void stepPerLane()
+    {
+        for (Index lane = 0; lane < cfg.batchSize; ++lane) {
+            perLane[lane]->stepInto(inputs[lane], reads[lane]);
+            perLane[lane]->outputInto(reads[lane], outPerLane[lane]);
+        }
+    }
+
+    void stepBatched()
+    {
+        for (Index first = 0; first < cfg.batchSize; first += kCoordBatch) {
+            const Index count = std::min(kCoordBatch, cfg.batchSize - first);
+            batched.loadFeed(inputs, first, count);
+            batched.lstmRows(0, cfg.controllerSize, first, count);
+            batched.interfaceRows(0, cfg.interfaceSize(), first, count);
+            for (Index c = first; c < first + count; ++c) {
+                batched.decode(c);
+                batched.setReads(c, reads[c]);
+            }
+            batched.outputSweep(first, count);
+            for (Index c = first; c < first + count; ++c)
+                batched.outputInto(c, outBatched[c]);
+        }
+    }
+};
+
+DncConfig
+coordinatorConfig()
+{
+    DncConfig cfg = serveConfig();
+    cfg.batchSize = kCoordLanes;
+    return cfg;
+}
+
+/** Bit-exact refusal gate for the controller section. */
+bool
+controllerCrossCheck()
+{
+    ControllerRig rig(coordinatorConfig());
+    for (int step = 0; step < 3; ++step) {
+        rig.stepPerLane();
+        rig.stepBatched();
+        for (Index lane = 0; lane < kCoordLanes; ++lane)
+            if (!(rig.outPerLane[lane] == rig.outBatched[lane]))
+                return false;
+    }
+    return true;
+}
+
+struct TrialSummary
+{
+    double median;
+    double min;
+    double max;
+};
+
+/** Microseconds per lane-step over kControllerTrials timed trials. */
+template <typename StepFn>
+TrialSummary
+usPerLaneStep(StepFn &&stepFn)
+{
+    std::vector<double> us;
+    for (int t = 0; t < kControllerTrials; ++t)
+        us.push_back(1e6 / (benchStepsPerSecond(stepFn, 0.2) *
+                            static_cast<double>(kCoordLanes)));
+    std::sort(us.begin(), us.end());
+    return {us[us.size() / 2], us.front(), us.back()};
+}
+
 struct BatchedResult
 {
     Index batch;
@@ -94,6 +213,15 @@ main()
         return 1;
     }
     std::printf("cross-check: batched lanes bit-identical to reference\n");
+    if (!controllerCrossCheck()) {
+        std::fprintf(stderr,
+                     "FATAL: batched controller diverged from per-lane "
+                     "controllers — refusing to benchmark unequal "
+                     "computations\n");
+        return 1;
+    }
+    std::printf("cross-check: batched controller bit-identical to "
+                "per-lane controllers\n");
 
     const DncConfig base = serveConfig();
     const unsigned hw = std::thread::hardware_concurrency();
@@ -159,6 +287,15 @@ main()
         }
     }
 
+    ControllerRig rig(coordinatorConfig());
+    const TrialSummary perLaneUs = usPerLaneStep([&] { rig.stepPerLane(); });
+    const TrialSummary batchedUs = usPerLaneStep([&] { rig.stepBatched(); });
+    std::printf("controller, %zu lanes in batches of %zu: per-lane %.1f us "
+                "(min %.1f, max %.1f), batched %.1f us (min %.1f, max %.1f) "
+                "per lane-step\n",
+                kCoordLanes, kCoordBatch, perLaneUs.median, perLaneUs.min,
+                perLaneUs.max, batchedUs.median, batchedUs.min, batchedUs.max);
+
     double headline = 0.0;
     for (const BatchedResult &r : results)
         if (r.batch == 16 && r.speedup > headline)
@@ -191,6 +328,21 @@ main()
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
+    auto summary = [json](const char *name, const TrialSummary &t,
+                          const char *tail) {
+        std::fprintf(json,
+                     "    \"%s\": {\"median\": %.2f, \"min\": %.2f, "
+                     "\"max\": %.2f}%s\n",
+                     name, t.median, t.min, t.max, tail);
+    };
+    std::fprintf(json,
+                 "  \"controller\": {\"lanes\": %zu, \"lanes_per_batch\": "
+                 "%zu, \"trials\": %d, \"unit\": \"us_per_lane_step\",\n",
+                 kCoordLanes, kCoordBatch, kControllerTrials);
+    summary("per_lane_controllers", perLaneUs, ",");
+    summary("batched_controller", batchedUs, ",");
+    std::fprintf(json, "    \"speedup_median\": %.3f\n  },\n",
+                 perLaneUs.median / batchedUs.median);
     std::fprintf(json, "  \"headline\": {\"b16_speedup\": %.3f}\n", headline);
     std::fprintf(json, "}\n");
     std::fclose(json);

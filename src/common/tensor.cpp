@@ -303,113 +303,6 @@ matMulInto(const Matrix &a, const Matrix &b, Matrix &out)
     }
 }
 
-namespace {
-
-/**
- * Shared body of the batched mat-vec kernels. Lanes are processed in
- * stack-resident chunks so every lane owns a private c-ascending
- * accumulator (the bit-exactness requirement) without any heap scratch;
- * the weight row is streamed once per chunk of up to kLaneChunk lanes.
- * Only the `active` leading columns of the stride-`stride` SoA tile are
- * swept — a partially occupied batch never pays flops for padding.
- */
-template <bool Accumulate>
-void
-batchedMatVecBody(const Matrix &m, const Vector &x, Index stride,
-                  Index active, Vector &y)
-{
-    HIMA_ASSERT(stride >= 1, "batchedMatVec: zero lane stride");
-    HIMA_ASSERT(active >= 1 && active <= stride,
-                "batchedMatVec: active lanes %zu outside [1, %zu]",
-                active, stride);
-    HIMA_ASSERT(m.cols() * stride == x.size(),
-                "batchedMatVec: cols %zu * stride %zu != x %zu",
-                m.cols(), stride, x.size());
-    const Index rows = m.rows();
-    const Index cols = m.cols();
-    if (Accumulate)
-        HIMA_ASSERT(y.size() == rows * stride,
-                    "batchedMatVecAccumulate: y %zu != rows %zu * stride %zu",
-                    y.size(), rows, stride);
-    else
-        y.resize(rows * stride);
-
-    const Real *pm = m.data();
-    const Real *px = x.data();
-    Real *py = y.data();
-
-    // Single-lane degenerate case (contiguous operands): keep the
-    // accumulator in a register (the chunk array below defeats register
-    // allocation at nb == 1 and costs ~2x on the dot-product chain).
-    // Same c-ascending chain. Only valid at stride 1 — a lone active
-    // lane inside a wider tile still needs the strided walk below.
-    if (stride == 1) {
-        for (Index r = 0; r < rows; ++r) {
-            const Real *row = pm + r * cols;
-            Real acc = 0.0;
-            for (Index c = 0; c < cols; ++c)
-                acc += row[c] * px[c];
-            if (Accumulate)
-                py[r] += acc;
-            else
-                py[r] = acc;
-        }
-        return;
-    }
-
-    Real acc[kBatchLaneChunk];
-    for (Index b0 = 0; b0 < active; b0 += kBatchLaneChunk) {
-        const Index nb = std::min(kBatchLaneChunk, active - b0);
-        for (Index r = 0; r < rows; ++r) {
-            const Real *row = pm + r * cols;
-            for (Index b = 0; b < nb; ++b)
-                acc[b] = 0.0;
-            for (Index c = 0; c < cols; ++c) {
-                const Real w = row[c];
-                const Real *xl = px + c * stride + b0;
-                for (Index b = 0; b < nb; ++b)
-                    acc[b] += w * xl[b];
-            }
-            Real *yl = py + r * stride + b0;
-            for (Index b = 0; b < nb; ++b) {
-                if (Accumulate)
-                    yl[b] += acc[b];
-                else
-                    yl[b] = acc[b];
-            }
-        }
-    }
-}
-
-} // namespace
-
-void
-batchedMatVecInto(const Matrix &m, const Vector &x, Index laneStride,
-                  Index activeLanes, Vector &y)
-{
-    batchedMatVecBody<false>(m, x, laneStride, activeLanes, y);
-}
-
-void
-batchedMatVecInto(const Matrix &m, const Vector &x, Index lanes, Vector &y)
-{
-    batchedMatVecBody<false>(m, x, lanes, lanes, y);
-}
-
-void
-batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index laneStride,
-                        Index activeLanes, Vector &y)
-{
-    batchedMatVecBody<true>(m, x, laneStride, activeLanes, y);
-}
-
-void
-batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
-                        Vector &y)
-{
-    batchedMatVecBody<true>(m, x, lanes, lanes, y);
-}
-
 void
 laneBroadcastAdd(const Vector &bias, Index laneStride, Index activeLanes,
                  Vector &y)

@@ -224,65 +224,19 @@ void outerAccumulate(const Vector &a, const Vector &b, Real s, Matrix &m);
 void matMulInto(const Matrix &a, const Matrix &b, Matrix &out);
 
 // ---------------------------------------------------------------------
-// Batched (struct-of-arrays) kernels
+// Lane-interleaved (struct-of-arrays) helpers
 //
-// The serving engine (src/serve) runs B independent DNC lanes with
-// lane-interleaved activations: element k of lane b lives at
-// buf[k * laneStride + b], so one sweep over k touches all lanes per
-// row block and a shared weight row is streamed once for the whole
-// batch. Per-lane numerics are bit-identical to the single-lane kernels
-// above: every lane keeps its own k-ascending accumulator chain, exactly
-// as matVecInto() does — batching changes operand reuse, never the math.
+// The batched serving engines keep B lanes' activations lane-interleaved:
+// element k of lane b lives at buf[k * laneStride + b]. The weight
+// sweeps over this layout live with the shared weights in
+// serve/batched_controller.h; these helpers move one lane in or out and
+// apply per-lane element-wise updates, each bit-identical to its
+// single-lane kernel above.
 //
-// Every batched sweep takes the lane count in two parts: `laneStride`
-// (the buffer's column capacity — column b of row k is at
-// buf[k * laneStride + b]) and `activeLanes` (how many leading columns
-// actually hold live lanes). The serving engine keeps its active lanes
-// compacted into the leading columns, so a partially occupied batch
-// sweeps only `activeLanes` columns — no flop is spent on padding. The
-// (m, x, lanes, y) convenience forms below are the fully-occupied case
-// (activeLanes == laneStride).
-//
-// laneBroadcastAdd/laneAxpy have no engine callers yet (BatchedDnc
-// fuses its bias adds); they complete the kernel API for batched heads
-// with biases and are pinned by the same per-lane unit tests.
+// laneBroadcastAdd/laneAxpy have no engine callers yet (the batched
+// controller fuses its bias adds); they complete the kernel API for
+// batched heads with biases and are pinned by per-lane unit tests.
 // ---------------------------------------------------------------------
-
-/**
- * Lanes per stack-resident accumulator chunk in every batched sweep —
- * shared by the kernels here and the row-blocked sweeps in src/serve so
- * the chunk boundary the bit-exactness tests cross is one constant.
- */
-inline constexpr Index kBatchLaneChunk = 64;
-
-/**
- * Batched y = M x over lane-interleaved operands:
- *   y[r * laneStride + b] = sum_c M(r, c) * x[c * laneStride + b]
- * for every active lane b in [0, activeLanes). x must hold
- * cols(M) * laneStride values; y is resized to rows(M) * laneStride and
- * the active columns overwritten (inactive columns are untouched); y
- * must not alias x. Each lane's accumulation runs c-ascending,
- * bit-identical to matVecInto per lane.
- */
-void batchedMatVecInto(const Matrix &m, const Vector &x, Index laneStride,
-                       Index activeLanes, Vector &y);
-
-/** Fully-occupied convenience form: activeLanes == laneStride. */
-void batchedMatVecInto(const Matrix &m, const Vector &x, Index lanes,
-                       Vector &y);
-
-/**
- * Batched y += M x over the active columns (lane-interleaved, shapes as
- * batchedMatVecInto, y pre-sized to rows(M) * laneStride). Matches
- * matVecAccumulate per lane bit-for-bit: the row sum is completed in a
- * private accumulator before the single += into y.
- */
-void batchedMatVecAccumulate(const Matrix &m, const Vector &x,
-                             Index laneStride, Index activeLanes, Vector &y);
-
-/** Fully-occupied convenience form: activeLanes == laneStride. */
-void batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
-                             Vector &y);
 
 /**
  * Broadcast-add a per-row bias across the active lanes:

@@ -110,6 +110,8 @@ ShardedLaneEngine::admit()
 void
 ShardedLaneEngine::markDraining(Index slot)
 {
+    HIMA_ASSERT(slot < states_.size(), "markDraining: slot %zu >= %zu", slot,
+                states_.size());
     HIMA_ASSERT(states_[slot] == LaneState::Active,
                 "markDraining: slot %zu is not Active", slot);
     states_[slot] = LaneState::Draining;
@@ -120,6 +122,8 @@ ShardedLaneEngine::markDraining(Index slot)
 void
 ShardedLaneEngine::release(Index slot)
 {
+    HIMA_ASSERT(slot < states_.size(), "release: slot %zu >= %zu", slot,
+                states_.size());
     HIMA_ASSERT(states_[slot] != LaneState::Free,
                 "release: slot %zu is already Free", slot);
     if (states_[slot] == LaneState::Active)
@@ -150,7 +154,8 @@ PipelinedShardedLaneEngine::PipelinedShardedLaneEngine(
     std::shared_ptr<ShardLaneGroup> group, Index lanesPerBatch)
     : config_(config), group_(std::move(group)),
       lanesPerBatch_(lanesPerBatch != 0 ? lanesPerBatch
-                                        : config.shardLanesPerBatch)
+                                        : config.shardLanesPerBatch),
+      controller_(config_, seed), readouts_(config_.batchSize)
 {
     HIMA_ASSERT(group_ != nullptr, "null shard lane group");
     HIMA_ASSERT(group_->lanes() == config_.batchSize,
@@ -162,81 +167,79 @@ PipelinedShardedLaneEngine::PipelinedShardedLaneEngine(
                     mem.readHeads == config_.readHeads &&
                     mem.fixedPoint == config_.fixedPoint,
                 "shard fleet shapes diverge from config");
+    batchLanes_.reserve(config_.batchSize);
+    batchIfaces_.reserve(config_.batchSize);
+    batchOuts_.reserve(config_.batchSize);
+}
 
-    // One controller per lane, each drawn exactly like
-    // ShardedDnc(config, seed)'s so dedicated reference runs share the
-    // weights bit for bit.
-    for (Index lane = 0; lane < config_.batchSize; ++lane) {
-        Rng rng(seed);
-        controllers_.push_back(std::make_unique<Controller>(config_, rng));
-        lastReads_.emplace_back(config_.readHeads,
-                                Vector(config_.memoryWidth));
+void
+PipelinedShardedLaneEngine::batchSlots(Index first, Index count,
+                                       std::vector<Index> &slots)
+{
+    // Compaction swaps columns, so a batch's columns may hold its slots
+    // in any order; a LaneStep frame needs them strictly increasing.
+    // Insertion sort: a batch is a handful of lanes.
+    slots.clear();
+    for (Index c = first; c < first + count; ++c) {
+        const Index slot = controller_.slotAt(c);
+        slots.push_back(slot);
+        for (Index j = slots.size() - 1; j > 0 && slots[j - 1] > slot; --j)
+            std::swap(slots[j - 1], slots[j]);
     }
-    readouts_.resize(config_.batchSize);
-    states_.assign(config_.batchSize, LaneState::Active);
-    active_ = config_.batchSize;
-    freeSlots_.reserve(config_.batchSize);
 }
 
 void
 PipelinedShardedLaneEngine::finishBatch(Index first, Index count,
                                         std::vector<Vector> &outputs)
 {
+    batchSlots(first, count, batchLanes_);
     batchOuts_.clear();
-    for (Index j = 0; j < count; ++j)
-        batchOuts_.push_back(&readouts_[activeScratch_[first + j]]);
+    for (Index slot : batchLanes_)
+        batchOuts_.push_back(&readouts_[slot]);
     group_->gather(batchOuts_);
-    for (Index j = 0; j < count; ++j) {
-        const Index slot = activeScratch_[first + j];
-        for (Index head = 0; head < config_.readHeads; ++head)
-            std::copy(readouts_[slot].readVectors[head].begin(),
-                      readouts_[slot].readVectors[head].end(),
-                      lastReads_[slot][head].begin());
-        controllers_[slot]->outputInto(lastReads_[slot], outputs[slot]);
-    }
+    for (Index c = first; c < first + count; ++c)
+        controller_.setReads(c,
+                             readouts_[controller_.slotAt(c)].readVectors);
+    controller_.outputSweep(first, count);
+    for (Index c = first; c < first + count; ++c)
+        controller_.outputInto(c, outputs[controller_.slotAt(c)]);
 }
 
 void
 PipelinedShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
                                      std::vector<Vector> &outputs)
 {
-    HIMA_ASSERT(inputs.size() == states_.size(),
+    HIMA_ASSERT(inputs.size() == capacity(),
                 "stepInto: need one input slot per lane");
-    outputs.resize(states_.size());
-    activeScratch_.clear();
-    for (Index slot = 0; slot < states_.size(); ++slot)
-        if (states_[slot] == LaneState::Active)
-            activeScratch_.push_back(slot);
-    const Index total = activeScratch_.size();
+    outputs.resize(capacity());
+    const Index total = controller_.activeLanes();
     if (total == 0)
         return;
     const Index k =
         lanesPerBatch_ == 0 ? total : std::min(lanesPerBatch_, total);
+    const Index h = config_.controllerSize;
+    const Index ifaceRows = config_.interfaceSize();
 
-    // The software pipeline: scatter batch b, then — while its round
-    // trip is in flight — gather batch b-1 and emit its outputs. Each
-    // lane's own controller -> tiles -> merge -> output order is
+    // The software pipeline: sweep and scatter batch b, then — while its
+    // round trip is in flight — gather batch b-1 and emit its outputs.
+    // Each lane's own controller -> tiles -> merge -> output order is
     // untouched, so per-lane results cannot depend on the overlap.
     Index prevFirst = 0;
     Index prevCount = 0;
     for (Index first = 0; first < total; first += k) {
         const Index count = std::min(k, total - first);
-        batchLanes_.clear();
-        batchIfaces_.clear();
         {
             obs::TraceSpan span("shard.controller_compute", count);
-            for (Index j = 0; j < count; ++j) {
-                const Index slot = activeScratch_[first + j];
-                // stepInto returns a reference into controller-owned
-                // storage; distinct slots use distinct controllers, so
-                // all of a batch's interfaces stay live until the
-                // scatter.
-                const InterfaceVector &iface =
-                    controllers_[slot]->stepInto(inputs[slot],
-                                                 lastReads_[slot]);
-                batchLanes_.push_back(slot);
-                batchIfaces_.push_back(&iface);
-            }
+            controller_.loadFeed(inputs, first, count);
+            controller_.lstmRows(0, h, first, count);
+            controller_.interfaceRows(0, ifaceRows, first, count);
+            // decode() storage is per column, so all of a batch's
+            // interfaces stay live until the scatter.
+            batchSlots(first, count, batchLanes_);
+            batchIfaces_.clear();
+            for (Index slot : batchLanes_)
+                batchIfaces_.push_back(
+                    &controller_.decode(controller_.column(slot)));
         }
         group_->scatter(batchLanes_, batchIfaces_);
         if (prevCount > 0)
@@ -250,54 +253,28 @@ PipelinedShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
 Index
 PipelinedShardedLaneEngine::admit()
 {
-    HIMA_ASSERT(!freeSlots_.empty(), "admit: no free lanes");
-    const Index slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    controllers_[slot]->reset();
-    for (auto &rv : lastReads_[slot])
-        rv.fill(0.0);
+    const Index slot = controller_.admit();
     group_->admitLane(slot);
-    states_[slot] = LaneState::Active;
-    ++active_;
     return slot;
 }
 
 void
 PipelinedShardedLaneEngine::markDraining(Index slot)
 {
-    HIMA_ASSERT(states_[slot] == LaneState::Active,
-                "markDraining: slot %zu is not Active", slot);
-    states_[slot] = LaneState::Draining;
-    --active_;
-    ++draining_;
+    controller_.markDraining(slot);
 }
 
 void
 PipelinedShardedLaneEngine::release(Index slot)
 {
-    HIMA_ASSERT(states_[slot] != LaneState::Free,
-                "release: slot %zu is already Free", slot);
-    if (states_[slot] == LaneState::Active)
-        --active_;
-    else
-        --draining_;
-    states_[slot] = LaneState::Free;
-    freeSlots_.push_back(slot);
+    controller_.release(slot);
 }
 
 void
 PipelinedShardedLaneEngine::reset()
 {
     group_->resetAll();
-    for (Index slot = 0; slot < states_.size(); ++slot) {
-        controllers_[slot]->reset();
-        for (auto &rv : lastReads_[slot])
-            rv.fill(0.0);
-    }
-    states_.assign(states_.size(), LaneState::Active);
-    freeSlots_.clear();
-    active_ = states_.size();
-    draining_ = 0;
+    controller_.reset();
 }
 
 } // namespace hima

@@ -15,15 +15,20 @@
  * the wire's Admit control, which episode-resets the lane's remote
  * tiles in place.
  *
- * PipelinedShardedLaneEngine is the overlapped variant: every lane
- * lives on one shared ShardLaneGroup fleet (shard/pipeline.h), steps
- * travel as lane-batched frames (DncConfig::shardLanesPerBatch lanes
- * per worker round trip), and the engine runs a double-buffered step
- * window — batch B's controllers compute while batch A's tile round
- * trip is in flight. Lanes are independent, so each lane's
- * controller -> tiles -> merge -> output chain is untouched and the
- * engine stays bit-identical per lane to dedicated ShardedDnc runs
- * (proven in tests/test_shard.cpp). The Router drives it through the
+ * ShardedLaneEngine keeps one ShardedDnc — controller weights included —
+ * per lane; it is the synchronous reference shape.
+ *
+ * PipelinedShardedLaneEngine is the fleet coordinator: every lane lives
+ * on one shared ShardLaneGroup fleet (shard/pipeline.h), steps travel
+ * as lane-batched frames (DncConfig::shardLanesPerBatch lanes per worker
+ * round trip), and the engine runs a double-buffered step window — batch
+ * B's controller sweep runs while batch A's tile round trip is in
+ * flight. All lanes share one BatchedController
+ * (serve/batched_controller.h): one weight set, streamed once per batch
+ * instead of once per lane. Lanes are independent and the batched sweeps keep
+ * each lane's arithmetic chain, so each lane's controller -> tiles ->
+ * merge -> output result stays bit-identical to a dedicated ShardedDnc
+ * run (proven in tests/test_shard.cpp). The Router drives it through the
  * same LaneEngine surface, unchanged.
  */
 
@@ -35,6 +40,7 @@
 #include <vector>
 
 #include "dnc/dncd.h"
+#include "serve/batched_controller.h"
 #include "serve/engine.h"
 #include "shard/pipeline.h"
 
@@ -88,10 +94,11 @@ class ShardedDnc
 
 /**
  * capacity-many ShardedDnc lanes behind the LaneEngine surface. Lanes
- * are independent models (each with its own tile backend), so there is
- * no SoA weight streaming here — the point is placement: lane state
- * lives on the shard workers, and the Router's dynamic batching,
- * admission and back-pressure apply to a distributed fleet unchanged.
+ * are independent models (each with its own controller and tile
+ * backend), so there is no SoA weight streaming here — the point is
+ * placement: lane state lives on the shard workers, and the Router's
+ * dynamic batching, admission and back-pressure apply to a distributed
+ * fleet unchanged.
  */
 class ShardedLaneEngine final : public LaneEngine
 {
@@ -141,13 +148,16 @@ class ShardedLaneEngine final : public LaneEngine
 
 /**
  * The software-pipelined sharded serving engine: config.batchSize lanes
- * on one shared ShardLaneGroup fleet. stepInto() partitions the active
- * lanes into batches of `lanesPerBatch` and overlaps batch b's
- * controller compute with batch b-1's in-flight tile round trips
- * (ShardLaneGroup's double-buffered window); admit() maps to the
- * wire's per-lane Admit control, so recycling one lane never disturbs
- * its fleet neighbours. Zero steady-state allocations, like every
- * serving loop here.
+ * on one shared ShardLaneGroup fleet, behind one shared-weight
+ * BatchedController. stepInto() partitions the compacted active columns
+ * into batches of `lanesPerBatch`; each batch runs one controller sweep
+ * before its scatter, overlapping batch b-1's in-flight tile round trip
+ * (ShardLaneGroup's double-buffered window), and finishing a batch runs
+ * one output-head sweep over its columns. A frame lists its lanes in
+ * ascending slot order, as the wire requires. admit() maps to the wire's
+ * per-lane Admit control, so recycling one lane never disturbs its
+ * fleet neighbours. Zero steady-state allocations, like every serving
+ * loop here.
  */
 class PipelinedShardedLaneEngine final : public LaneEngine
 {
@@ -175,22 +185,31 @@ class PipelinedShardedLaneEngine final : public LaneEngine
     void release(Index slot) override;
     LaneState laneState(Index slot) const override
     {
-        return states_[slot];
+        return controller_.laneState(slot);
     }
-    Index activeLanes() const override { return active_; }
-    Index drainingLanes() const override { return draining_; }
-    Index freeLanes() const override
+    Index activeLanes() const override { return controller_.activeLanes(); }
+    Index drainingLanes() const override
     {
-        return states_.size() - active_ - draining_;
+        return controller_.drainingLanes();
     }
-    Index capacity() const override { return states_.size(); }
+    Index freeLanes() const override { return controller_.freeLanes(); }
+    Index capacity() const override { return controller_.capacity(); }
     void reset() override;
     const DncConfig &config() const override { return config_; }
 
     ShardLaneGroup &group() { return *group_; }
     Index lanesPerBatch() const { return lanesPerBatch_; }
 
+    /** Slot s's LSTM hidden state. */
+    Vector laneHidden(Index slot) const { return controller_.laneHidden(slot); }
+
+    /** Slot s's LSTM cell state. */
+    Vector laneCell(Index slot) const { return controller_.laneCell(slot); }
+
   private:
+    /** The slots of columns [first, first + count), ascending. */
+    void batchSlots(Index first, Index count, std::vector<Index> &slots);
+
     /** Gather one scattered batch and finish its lanes' outputs. */
     void finishBatch(Index first, Index count,
                      std::vector<Vector> &outputs);
@@ -198,16 +217,10 @@ class PipelinedShardedLaneEngine final : public LaneEngine
     DncConfig config_;
     std::shared_ptr<ShardLaneGroup> group_;
     Index lanesPerBatch_; ///< 0 = all active lanes in one frame
-    std::vector<std::unique_ptr<Controller>> controllers_; ///< per slot
-    std::vector<std::vector<Vector>> lastReads_;           ///< per slot
-    std::vector<MemoryReadout> readouts_;                  ///< per slot
-    std::vector<LaneState> states_;
-    std::vector<Index> freeSlots_;
-    Index active_ = 0;
-    Index draining_ = 0;
+    BatchedController controller_;        ///< the one weight set
+    std::vector<MemoryReadout> readouts_; ///< per slot
 
     // Reused step scratch.
-    std::vector<Index> activeScratch_; ///< active slots, ascending
     std::vector<Index> batchLanes_;
     std::vector<const InterfaceVector *> batchIfaces_;
     std::vector<MemoryReadout *> batchOuts_;

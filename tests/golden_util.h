@@ -50,6 +50,29 @@ randomIface(const DncConfig &cfg, Rng &rng)
     return iface;
 }
 
+/** Field-by-field exact equality of two decoded interface vectors. */
+inline void
+expectIfaceEqual(const InterfaceVector &a, const InterfaceVector &b)
+{
+    ASSERT_EQ(a.readKeys.size(), b.readKeys.size());
+    for (Index h = 0; h < a.readKeys.size(); ++h)
+        EXPECT_TRUE(a.readKeys[h] == b.readKeys[h]);
+    EXPECT_EQ(a.readStrengths, b.readStrengths);
+    EXPECT_TRUE(a.writeKey == b.writeKey);
+    EXPECT_EQ(a.writeStrength, b.writeStrength);
+    EXPECT_TRUE(a.eraseVector == b.eraseVector);
+    EXPECT_TRUE(a.writeVector == b.writeVector);
+    EXPECT_EQ(a.freeGates, b.freeGates);
+    EXPECT_EQ(a.allocationGate, b.allocationGate);
+    EXPECT_EQ(a.writeGate, b.writeGate);
+    ASSERT_EQ(a.readModes.size(), b.readModes.size());
+    for (Index h = 0; h < a.readModes.size(); ++h) {
+        EXPECT_EQ(a.readModes[h].backward, b.readModes[h].backward);
+        EXPECT_EQ(a.readModes[h].content, b.readModes[h].content);
+        EXPECT_EQ(a.readModes[h].forward, b.readModes[h].forward);
+    }
+}
+
 /** One random task token per lane. */
 inline std::vector<Vector>
 randomBatchInputs(const DncConfig &cfg, Index batch, Rng &rng)

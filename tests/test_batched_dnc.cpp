@@ -5,9 +5,13 @@
  * complete per-lane state, compared with exact double equality — for
  * every combination of batch size, thread count and datapath mode, plus
  * the feature knobs that change the memory-unit fast path
- * (writeSkipThreshold, usage skimming, approximate softmax).
+ * (writeSkipThreshold, usage skimming, approximate softmax). Below the
+ * engine, the shared BatchedController is checked sweep by sweep against
+ * per-lane Controllers over every sweep width, lane stride and first
+ * column the engines use, including the columns a sweep must not touch.
  */
 
+#include <memory>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -127,6 +131,192 @@ TEST(BatchedDnc, LargerShapesSpotCheck)
     cfg.outputSize = 32;
     golden::runLockstep(cfg, 4, 4, 4, /*weightSeed=*/11, /*inputSeed=*/13,
                         /*stateEvery=*/0); // outputs every step, state last
+}
+
+// --------------------------------------------------------------------
+// The shared controller kernel against per-lane Controller references:
+// every sweep width 1-9 over lane strides {1, 4, 8, 16}, the window
+// centred so that it starts at a nonzero column and leaves columns on
+// both sides whenever the tile has room. Widths of four and more run
+// the AVX2 body (Release builds), the rest of each sweep its portable
+// tail; sanitizer builds run the portable loop only.
+// --------------------------------------------------------------------
+
+/** One controller step over columns [first, first + n), checked against
+ *  the per-column references; reads[c] plays the memory's role. */
+void
+stepColumnsAgainstRefs(BatchedController &batched,
+                       std::vector<std::unique_ptr<Controller>> &refs,
+                       std::vector<std::vector<Vector>> &reads,
+                       const DncConfig &cfg, Index first, Index n, Rng &rng)
+{
+    std::vector<Vector> inputs(batched.capacity(), Vector(cfg.inputSize));
+    for (Index c = first; c < first + n; ++c)
+        inputs[batched.slotAt(c)] = rng.normalVector(cfg.inputSize);
+    batched.loadFeed(inputs, first, n);
+    batched.lstmRows(0, cfg.controllerSize, first, n);
+    batched.interfaceRows(0, cfg.interfaceSize(), first, n);
+    for (Index c = first; c < first + n; ++c) {
+        const Index slot = batched.slotAt(c);
+        SCOPED_TRACE(::testing::Message() << "column " << c << " slot "
+                                          << slot);
+        golden::expectIfaceEqual(
+            refs[slot]->stepInto(inputs[slot], reads[slot]),
+            batched.decode(c));
+        for (Vector &rv : reads[slot])
+            rv = rng.normalVector(cfg.memoryWidth);
+        batched.setReads(c, reads[slot]);
+    }
+    batched.outputSweep(first, n);
+    Vector want;
+    Vector got;
+    for (Index c = first; c < first + n; ++c) {
+        const Index slot = batched.slotAt(c);
+        refs[slot]->outputInto(reads[slot], want);
+        batched.outputInto(c, got);
+        EXPECT_TRUE(want == got) << "output diverged, slot " << slot;
+        EXPECT_TRUE(refs[slot]->lstm().hidden() == batched.laneHidden(slot))
+            << "hidden state diverged, slot " << slot;
+        EXPECT_TRUE(refs[slot]->lstm().cell() == batched.laneCell(slot))
+            << "cell state diverged, slot " << slot;
+    }
+}
+
+/** Every column's bits a sweep must not touch outside its range. */
+struct ColumnSnapshot
+{
+    Vector hidden;
+    Vector cell;
+    Vector output;
+};
+
+ColumnSnapshot
+snapshotColumn(const BatchedController &batched, Index column)
+{
+    ColumnSnapshot snap;
+    snap.hidden = batched.laneHidden(batched.slotAt(column));
+    snap.cell = batched.laneCell(batched.slotAt(column));
+    batched.outputInto(column, snap.output);
+    return snap;
+}
+
+void
+expectColumnUntouched(const BatchedController &batched, Index column,
+                      const ColumnSnapshot &before)
+{
+    const ColumnSnapshot now = snapshotColumn(batched, column);
+    EXPECT_TRUE(now.hidden == before.hidden) << "column " << column;
+    EXPECT_TRUE(now.cell == before.cell) << "column " << column;
+    EXPECT_TRUE(now.output == before.output) << "column " << column;
+}
+
+DncConfig
+kernelConfig(Index stride)
+{
+    DncConfig cfg = tinyConfig();
+    cfg.controllerSize = 13; // interface rows 73 and output rows 7: both
+    cfg.outputSize = 7;      // heads leave rows beyond the groups of four
+    cfg.batchSize = stride;
+    return cfg;
+}
+
+std::vector<std::unique_ptr<Controller>>
+referenceControllers(const DncConfig &cfg, std::uint64_t seed)
+{
+    std::vector<std::unique_ptr<Controller>> refs;
+    for (Index slot = 0; slot < cfg.batchSize; ++slot) {
+        Rng rng(seed);
+        refs.push_back(std::make_unique<Controller>(cfg, rng));
+    }
+    return refs;
+}
+
+class BatchedControllerKernel : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(BatchedControllerKernel, EverySweepWidthMatchesPerLaneControllers)
+{
+    const Index stride = static_cast<Index>(GetParam());
+    const DncConfig cfg = kernelConfig(stride);
+    constexpr std::uint64_t kSeed = 5;
+    Rng rng(97 + stride);
+    for (Index count = 1; count <= std::min<Index>(9, stride); ++count) {
+        SCOPED_TRACE(::testing::Message() << "sweep width " << count);
+        // Centre the window: columns on both sides whenever there is room.
+        const Index col0 = (stride - count + 1) / 2;
+        const Index end = col0 + count;
+        BatchedController batched(cfg, kSeed);
+        auto refs = referenceControllers(cfg, kSeed);
+        std::vector<std::vector<Vector>> reads(
+            stride,
+            std::vector<Vector>(cfg.readHeads, Vector(cfg.memoryWidth)));
+
+        // Give every column its own history, then sweep only the window:
+        // the columns outside it must keep every bit.
+        stepColumnsAgainstRefs(batched, refs, reads, cfg, 0, stride, rng);
+        for (int step = 0; step < 3; ++step) {
+            std::vector<ColumnSnapshot> before(stride);
+            for (Index c = 0; c < stride; ++c)
+                before[c] = snapshotColumn(batched, c);
+            stepColumnsAgainstRefs(batched, refs, reads, cfg, col0, count,
+                                   rng);
+            for (Index c = 0; c < stride; ++c)
+                if (c < col0 || c >= end)
+                    expectColumnUntouched(batched, c, before[c]);
+        }
+        // The skipped columns (previous reads included) resume their
+        // reference streams exactly.
+        stepColumnsAgainstRefs(batched, refs, reads, cfg, 0, stride, rng);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strides, BatchedControllerKernel,
+                         ::testing::Values(1, 4, 8, 16),
+                         [](const auto &info) {
+                             return "S" + std::to_string(info.param);
+                         });
+
+TEST(BatchedControllerKernel, DrainingColumnsStayUntouched)
+{
+    const DncConfig cfg = kernelConfig(8);
+    constexpr std::uint64_t kSeed = 5;
+    Rng rng(131);
+    BatchedController batched(cfg, kSeed);
+    auto refs = referenceControllers(cfg, kSeed);
+    std::vector<std::vector<Vector>> reads(
+        cfg.batchSize,
+        std::vector<Vector>(cfg.readHeads, Vector(cfg.memoryWidth)));
+
+    stepColumnsAgainstRefs(batched, refs, reads, cfg, 0, cfg.batchSize, rng);
+    batched.markDraining(2);
+    batched.markDraining(5);
+    ASSERT_EQ(batched.activeLanes(), 6u);
+    ASSERT_EQ(batched.drainingLanes(), 2u);
+    const ColumnSnapshot drained2 =
+        snapshotColumn(batched, batched.column(2));
+    const ColumnSnapshot drained5 =
+        snapshotColumn(batched, batched.column(5));
+    for (int step = 0; step < 3; ++step)
+        stepColumnsAgainstRefs(batched, refs, reads, cfg, 0,
+                               batched.activeLanes(), rng);
+    expectColumnUntouched(batched, batched.column(2), drained2);
+    expectColumnUntouched(batched, batched.column(5), drained5);
+
+    // Recycling slot 5 moves slot 2's Draining column out of the way
+    // with its state intact, and the fresh episode keeps its reference
+    // stream.
+    batched.release(5);
+    ASSERT_EQ(batched.admit(), 5u);
+    refs[5]->reset();
+    for (Vector &rv : reads[5])
+        rv.fill(0.0);
+    EXPECT_TRUE(batched.laneHidden(2) == drained2.hidden);
+    EXPECT_TRUE(batched.laneCell(2) == drained2.cell);
+    for (int step = 0; step < 2; ++step)
+        stepColumnsAgainstRefs(batched, refs, reads, cfg, 0,
+                               batched.activeLanes(), rng);
 }
 
 // --------------------------------------------------------------------

@@ -261,20 +261,45 @@ INSTANTIATE_TEST_SUITE_P(
 // match the in-process DncD bit for bit, per lane and per step.
 // --------------------------------------------------------------------
 
+/**
+ * One lane-count shape of the pipelined golden grid, with its scripted
+ * churn. Three lanes in batches of 2 + 1 exercise the portable sweep
+ * tail; seven lanes in batches of 5 + 2 reach the batched controller's
+ * 4-lane vector body plus a tail in one frame, and their admits land
+ * out of slot order, so compacted columns hold permuted slots.
+ */
+struct LaneShape
+{
+    Index lanes;
+    Index lanesPerBatch;
+    /** Released (drained first when marked) at releaseStep. */
+    std::vector<std::pair<Index, bool>> releases;
+    int releaseStep;
+    /** Expected slot of each admit at admitStep, in admit order. */
+    std::vector<Index> admits;
+    int admitStep;
+};
+
+const LaneShape kLaneShapes[] = {
+    {3, 2, {{1, true}}, 6, {1}, 9},
+    {7, 5, {{5, true}, {1, true}, {3, false}}, 4, {3, 1, 5}, 8},
+};
+
 class PipelinedShardGolden
     : public ::testing::TestWithParam<
-          std::tuple<ClusterTransport, int, int, bool>>
+          std::tuple<ClusterTransport, int, int, bool, int>>
 {};
 
 TEST_P(PipelinedShardGolden, EveryLaneBitIdenticalToDedicatedRuns)
 {
-    const auto [transport, tiles, threads, fixedPoint] = GetParam();
+    const auto [transport, tiles, threads, fixedPoint, shapeIndex] =
+        GetParam();
+    const LaneShape &shape = kLaneShapes[shapeIndex];
     DncConfig cfg = gridConfig(tiles, threads, fixedPoint);
     cfg.controllerSize = 20;
     cfg.inputSize = 9;
     cfg.outputSize = 7;
-    cfg.batchSize = 3;        // three lanes on one fleet
-    const Index lanesPerBatch = 2; // uneven split: batches of 2 + 1
+    cfg.batchSize = shape.lanes;
     constexpr std::uint64_t kSeed = 77;
     const Index workerCount = 2;
 
@@ -282,7 +307,7 @@ TEST_P(PipelinedShardGolden, EveryLaneBitIdenticalToDedicatedRuns)
         transport, cfg, tiles, cfg.batchSize, workerCount);
     ASSERT_TRUE(cluster.group != nullptr);
     PipelinedShardedLaneEngine engine(cfg, kSeed, cluster.group,
-                                      lanesPerBatch);
+                                      shape.lanesPerBatch);
 
     // Dedicated references: one ShardedDnc over in-process DncD per
     // slot (already proven equal to the wire backend).
@@ -296,16 +321,21 @@ TEST_P(PipelinedShardGolden, EveryLaneBitIdenticalToDedicatedRuns)
     std::vector<Vector> outputs;
     constexpr int kSteps = 16;
     for (int step = 0; step < kSteps; ++step) {
-        // Lane churn mid-stream: slot 1 drains and is recycled through
-        // the per-lane Admit control; its neighbours must not notice.
-        if (step == 6) {
-            engine.markDraining(1);
-            engine.release(1);
+        // Lane churn mid-stream: lanes drain and are recycled through
+        // the per-lane Admit control; their neighbours must not notice.
+        if (step == shape.releaseStep) {
+            for (const auto &[slot, drainFirst] : shape.releases) {
+                if (drainFirst)
+                    engine.markDraining(slot);
+                engine.release(slot);
+            }
         }
-        if (step == 9) {
-            const Index slot = engine.admit();
-            ASSERT_EQ(slot, 1u);
-            refs[1]->beginEpisode();
+        if (step == shape.admitStep) {
+            for (Index want : shape.admits) {
+                const Index slot = engine.admit();
+                ASSERT_EQ(slot, want);
+                refs[slot]->beginEpisode();
+            }
         }
         for (Index slot = 0; slot < cfg.batchSize; ++slot)
             inputs[slot] = rng.normalVector(cfg.inputSize);
@@ -316,6 +346,13 @@ TEST_P(PipelinedShardGolden, EveryLaneBitIdenticalToDedicatedRuns)
             const Vector want = refs[slot]->step(inputs[slot]);
             ASSERT_TRUE(want == outputs[slot])
                 << "lane " << slot << " diverged at step " << step;
+            const LstmCell &lstm = refs[slot]->controller().lstm();
+            ASSERT_TRUE(lstm.hidden() == engine.laneHidden(slot))
+                << "lane " << slot << " hidden state diverged at step "
+                << step;
+            ASSERT_TRUE(lstm.cell() == engine.laneCell(slot))
+                << "lane " << slot << " cell state diverged at step "
+                << step;
         }
     }
     EXPECT_EQ(engine.group().inFlight(), 0u);
@@ -328,13 +365,42 @@ INSTANTIATE_TEST_SUITE_P(
                                          ClusterTransport::Tcp,
                                          ClusterTransport::Shm),
                        ::testing::Values(2, 4), ::testing::Values(1, 4),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(0, 1)),
     [](const auto &info) {
+        const LaneShape &shape = kLaneShapes[std::get<4>(info.param)];
         return std::string(transportName(std::get<0>(info.param))) +
                "Nt" + std::to_string(std::get<1>(info.param)) + "T" +
                std::to_string(std::get<2>(info.param)) +
-               (std::get<3>(info.param) ? "Fixed" : "Float");
+               (std::get<3>(info.param) ? "Fixed" : "Float") + "L" +
+               std::to_string(shape.lanes) + "K" +
+               std::to_string(shape.lanesPerBatch);
     });
+
+// An out-of-range slot is a caller bug on both shard engines: it must
+// die with a diagnosis instead of writing past the lane-state arrays.
+TEST(LaneEngineSlotDeathTest, ShardedLaneEngineRejectsOutOfRangeSlots)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    DncConfig cfg = gridConfig(2, 1, false);
+    cfg.batchSize = 2;
+    ShardedLaneEngine engine(cfg, 7, [&cfg](Index) {
+        return std::make_unique<DncD>(cfg, 2);
+    });
+    EXPECT_DEATH(engine.markDraining(2), "markDraining: slot 2 >= 2");
+    EXPECT_DEATH(engine.release(5), "release: slot 5 >= 2");
+}
+
+TEST(LaneEngineSlotDeathTest, PipelinedEngineRejectsOutOfRangeSlots)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    DncConfig cfg = gridConfig(2, 1, false);
+    cfg.batchSize = 2;
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, 2, cfg.batchSize, 1);
+    PipelinedShardedLaneEngine engine(cfg, 7, cluster.group);
+    EXPECT_DEATH(engine.markDraining(2), "markDraining: slot 2 >= 2");
+    EXPECT_DEATH(engine.release(9), "release: slot 9 >= 2");
+}
 
 // A lane of a shared fleet behind the TileMemory view: merged
 // readouts, alphas and the raw hosted tile state all equal the

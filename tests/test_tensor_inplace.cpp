@@ -237,9 +237,8 @@ TEST_P(InplaceKernels, QuantizeInPlaceMatches)
 INSTANTIATE_TEST_SUITE_P(Seeds, InplaceKernels, ::testing::Range(0, 8));
 
 // --------------------------------------------------------------------
-// Batched (struct-of-arrays) kernels: per-lane results must equal the
-// single-lane kernels bit-for-bit, including across the 64-lane chunk
-// boundary of the stack accumulators.
+// Lane-interleaved (struct-of-arrays) helpers: per-lane results must
+// equal the single-lane kernels bit-for-bit.
 // --------------------------------------------------------------------
 
 class BatchedKernels : public ::testing::TestWithParam<int>
@@ -247,45 +246,6 @@ class BatchedKernels : public ::testing::TestWithParam<int>
   protected:
     Rng rng_{static_cast<std::uint64_t>(GetParam()) * 104729 + 3};
 };
-
-TEST_P(BatchedKernels, MatVecMatchesPerLane)
-{
-    const Index rows = 1 + rng_.uniformInt(12);
-    const Index cols = 1 + rng_.uniformInt(12);
-    const Index lanes = 1 + rng_.uniformInt(90); // crosses the 64 chunk
-    const Matrix m = rng_.normalMatrix(rows, cols);
-
-    std::vector<Vector> xs;
-    Vector soaX(cols * lanes);
-    for (Index b = 0; b < lanes; ++b) {
-        xs.push_back(rng_.normalVector(cols));
-        laneScatterInto(xs[b], lanes, b, soaX);
-    }
-
-    Vector soaY;
-    batchedMatVecInto(m, soaX, lanes, soaY);
-    Vector lane, ref;
-    for (Index b = 0; b < lanes; ++b) {
-        laneGatherInto(soaY, lanes, b, rows, lane);
-        matVecInto(m, xs[b], ref);
-        ASSERT_EQ(lane, ref) << "lane " << b;
-    }
-
-    // Accumulate on top of randomized destinations.
-    std::vector<Vector> ys;
-    Vector soaAcc(rows * lanes);
-    for (Index b = 0; b < lanes; ++b) {
-        ys.push_back(rng_.normalVector(rows));
-        laneScatterInto(ys[b], lanes, b, soaAcc);
-    }
-    batchedMatVecAccumulate(m, soaX, lanes, soaAcc);
-    for (Index b = 0; b < lanes; ++b) {
-        laneGatherInto(soaAcc, lanes, b, rows, lane);
-        ref = ys[b];
-        matVecAccumulate(m, xs[b], ref);
-        ASSERT_EQ(lane, ref) << "lane " << b;
-    }
-}
 
 TEST_P(BatchedKernels, LaneHelpersMatchSingleLaneKernels)
 {
@@ -331,64 +291,26 @@ TEST_P(BatchedKernels, LaneHelpersMatchSingleLaneKernels)
 
 TEST_P(BatchedKernels, PartialOccupancyMatchesPerLane)
 {
-    // The compacted-active-lane forms: only the leading `active` columns
-    // of a stride-`stride` tile are swept; they must match the
-    // single-lane kernels bit-for-bit and leave the stale columns alone.
+    // The compacted-active-lane form: only the leading `active` columns
+    // of a stride-`stride` tile are biased; they must match the
+    // single-lane kernel bit-for-bit and leave the stale columns alone.
     const Index rows = 1 + rng_.uniformInt(10);
-    const Index cols = 1 + rng_.uniformInt(10);
-    const Index stride = 2 + rng_.uniformInt(80); // may cross the chunk
+    const Index stride = 2 + rng_.uniformInt(80);
     const Index active = 1 + rng_.uniformInt(stride);
-    const Matrix m = rng_.normalMatrix(rows, cols);
-
-    std::vector<Vector> xs;
-    Vector soaX = rng_.normalVector(cols * stride); // stale noise beyond
-    for (Index b = 0; b < active; ++b) {
-        xs.push_back(rng_.normalVector(cols));
-        laneScatterInto(xs[b], stride, b, soaX);
-    }
-
-    Vector soaY = rng_.normalVector(rows * stride);
-    const Vector before = soaY;
-    batchedMatVecInto(m, soaX, stride, active, soaY);
+    const Vector soa = rng_.normalVector(rows * stride);
+    const Vector bias = rng_.normalVector(rows);
+    Vector soaBias = soa;
+    laneBroadcastAdd(bias, stride, active, soaBias);
     Vector lane, ref;
     for (Index b = 0; b < active; ++b) {
-        laneGatherInto(soaY, stride, b, rows, lane);
-        matVecInto(m, xs[b], ref);
-        ASSERT_EQ(lane, ref) << "lane " << b;
-    }
-    for (Index b = active; b < stride; ++b)
-        for (Index r = 0; r < rows; ++r)
-            ASSERT_EQ(soaY[r * stride + b], before[r * stride + b])
-                << "inactive column " << b << " was touched";
-
-    // Accumulate form on randomized destinations.
-    std::vector<Vector> ys;
-    Vector soaAcc(rows * stride);
-    for (Index b = 0; b < active; ++b) {
-        ys.push_back(rng_.normalVector(rows));
-        laneScatterInto(ys[b], stride, b, soaAcc);
-    }
-    batchedMatVecAccumulate(m, soaX, stride, active, soaAcc);
-    for (Index b = 0; b < active; ++b) {
-        laneGatherInto(soaAcc, stride, b, rows, lane);
-        ref = ys[b];
-        matVecAccumulate(m, xs[b], ref);
-        ASSERT_EQ(lane, ref) << "lane " << b;
-    }
-
-    // Broadcast-add over the active prefix only.
-    const Vector bias = rng_.normalVector(rows);
-    Vector soaBias = soaAcc;
-    laneBroadcastAdd(bias, stride, active, soaBias);
-    for (Index b = 0; b < active; ++b) {
         laneGatherInto(soaBias, stride, b, rows, lane);
-        laneGatherInto(soaAcc, stride, b, rows, ref);
+        laneGatherInto(soa, stride, b, rows, ref);
         addInPlace(ref, bias);
         ASSERT_EQ(lane, ref) << "lane " << b;
     }
     for (Index b = active; b < stride; ++b)
         for (Index r = 0; r < rows; ++r)
-            ASSERT_EQ(soaBias[r * stride + b], soaAcc[r * stride + b])
+            ASSERT_EQ(soaBias[r * stride + b], soa[r * stride + b])
                 << "inactive column " << b << " was biased";
 }
 

@@ -34,28 +34,6 @@ sampleIface(const DncConfig &cfg, std::uint64_t seed)
     return golden::randomIface(cfg, rng);
 }
 
-void
-expectIfaceEqual(const InterfaceVector &a, const InterfaceVector &b)
-{
-    ASSERT_EQ(a.readKeys.size(), b.readKeys.size());
-    for (Index h = 0; h < a.readKeys.size(); ++h)
-        EXPECT_TRUE(a.readKeys[h] == b.readKeys[h]);
-    EXPECT_EQ(a.readStrengths, b.readStrengths);
-    EXPECT_TRUE(a.writeKey == b.writeKey);
-    EXPECT_EQ(a.writeStrength, b.writeStrength);
-    EXPECT_TRUE(a.eraseVector == b.eraseVector);
-    EXPECT_TRUE(a.writeVector == b.writeVector);
-    EXPECT_EQ(a.freeGates, b.freeGates);
-    EXPECT_EQ(a.allocationGate, b.allocationGate);
-    EXPECT_EQ(a.writeGate, b.writeGate);
-    ASSERT_EQ(a.readModes.size(), b.readModes.size());
-    for (Index h = 0; h < a.readModes.size(); ++h) {
-        EXPECT_EQ(a.readModes[h].backward, b.readModes[h].backward);
-        EXPECT_EQ(a.readModes[h].content, b.readModes[h].content);
-        EXPECT_EQ(a.readModes[h].forward, b.readModes[h].forward);
-    }
-}
-
 // --------------------------------------------------------------------
 // Round trips.
 // --------------------------------------------------------------------
@@ -126,7 +104,7 @@ TEST(Wire, StepRoundTripPreservesEveryRealBitExactly)
     EXPECT_EQ(got.scoredMask, sent.scoredMask);
     ASSERT_EQ(got.ifaces.size(), 2u);
     for (Index t = 0; t < 2; ++t)
-        expectIfaceEqual(sent.ifaces[t], got.ifaces[t]);
+        golden::expectIfaceEqual(sent.ifaces[t], got.ifaces[t]);
 }
 
 TEST(Wire, StepBroadcastDecodesLikeSpanOfCopiesButShipsOneInterface)
@@ -151,7 +129,7 @@ TEST(Wire, StepBroadcastDecodesLikeSpanOfCopiesButShipsOneInterface)
     EXPECT_EQ(fromBroadcast.scoredMask, fromSpan.scoredMask);
     ASSERT_EQ(fromBroadcast.ifaces.size(), 3u);
     for (Index t = 0; t < 3; ++t)
-        expectIfaceEqual(fromBroadcast.ifaces[t], fromSpan.ifaces[t]);
+        golden::expectIfaceEqual(fromBroadcast.ifaces[t], fromSpan.ifaces[t]);
 }
 
 TEST(Wire, StepReplyRoundTrip)
@@ -268,9 +246,9 @@ TEST(Wire, LaneStepRoundTripPreservesEveryLane)
     ASSERT_EQ(got.lanes.size(), 3u);
     EXPECT_EQ(got.lanes, (std::vector<std::uint32_t>{0, 2, 5}));
     EXPECT_EQ(got.masks, (std::vector<std::uint32_t>{0b001, 0b111, 0b000}));
-    expectIfaceEqual(a, got.ifaces[0]);
-    expectIfaceEqual(b, got.ifaces[1]);
-    expectIfaceEqual(c, got.ifaces[2]);
+    golden::expectIfaceEqual(a, got.ifaces[0]);
+    golden::expectIfaceEqual(b, got.ifaces[1]);
+    golden::expectIfaceEqual(c, got.ifaces[2]);
 }
 
 TEST(Wire, LaneStepRejectsBadLaneLists)
