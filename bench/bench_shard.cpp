@@ -3,8 +3,8 @@
  * Sharded-serving benchmark: confidence-merge round-trip cost vs tile
  * count and transport. Two modes per (transport, tiles) point:
  *
- *   - sync: the single-lane ShardCoordinator, one full round trip per
- *     step (the PR-4 baseline rows, retained for comparison);
+ *   - sync: a one-lane ShardLaneGroup, one full scatter/gather round
+ *     trip per step (the unbatched baseline rows);
  *   - pipelined: a ShardLaneGroup fleet serving `kBenchLanes` lanes,
  *     swept over lanes-per-batch — k lanes ride one LaneStep frame per
  *     worker and consecutive batches overlap in the double-buffered
@@ -26,7 +26,7 @@
  * pulls and the replay log shows up in steps/s and in the per-type
  * wire stats, and dedicated recovery rows kill a worker mid-run half a
  * checkpoint interval past the last pull and report the wall time of
- * the recovering step (detect + respawn + Rejoin + Restore + replay)
+ * the recovering step (detect + respawn + Hello + Restore + replay)
  * next to a normal step.
  *
  * Like every bench here, a bit-exactness gate runs first: the sharded
@@ -142,7 +142,10 @@ crossCheck(bool fixedPoint)
     cfg.fixedPoint = fixedPoint;
     const Index tiles = 4;
     // Full weightings on: the gate compares the whole readout.
-    LoopbackShard stack = makeLoopbackShard(cfg, tiles, 2);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, tiles, /*lanes=*/1,
+        /*workerCount=*/2, MergePolicy::Confidence, /*wantWeightings=*/true);
+    const std::unique_ptr<TileMemory> wire = cluster.group->laneMemory(0);
     DncD ref(cfg, tiles);
     Rng rng(23);
     std::vector<InterfaceVector> perTile(tiles);
@@ -151,7 +154,7 @@ crossCheck(bool fixedPoint)
         MemoryReadout a, b;
         if (step % 2 == 0) {
             a = ref.stepInterface(iface);
-            b = stack.coordinator->stepInterface(iface);
+            b = wire->stepInterface(iface);
         } else {
             for (Index t = 0; t < tiles; ++t) {
                 perTile[t] = iface;
@@ -159,7 +162,7 @@ crossCheck(bool fixedPoint)
                     perTile[t].writeGate = 0.0;
             }
             a = ref.stepInterfaces(perTile);
-            b = stack.coordinator->stepInterfaces(perTile);
+            b = wire->stepInterfaces(perTile);
         }
         for (Index h = 0; h < cfg.readHeads; ++h) {
             if (!(a.readVectors[h] == b.readVectors[h]) ||
@@ -277,32 +280,31 @@ runPoint(Transport transport, Index tiles, Index workers,
         return p;
     }
 
-    LocalShardCluster stack = makeLocalCluster(
-        toCluster(transport), cfg, tiles, workers, MergePolicy::Confidence,
-        /*wantWeightings=*/false);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        toCluster(transport), cfg, tiles, /*lanes=*/1, workers);
+    ShardLaneGroup &group = *cluster.group;
     // A nonzero interval arms the full fault-tolerance path — frame
     // tracking, the replay log, periodic CheckpointState pulls — so
     // these rows price exactly what a recoverable deployment pays.
     std::shared_ptr<RespawnHarness> harness;
     if (checkpointInterval > 0)
-        harness = armClusterRecovery(stack, toCluster(transport));
+        harness = armClusterRecovery(cluster, toCluster(transport));
     MemoryReadout out;
     std::uint64_t steps = 0;
     // Stats are differenced around the timed loop so handshake and
     // warmup traffic is excluded; one warm step sizes every buffer.
-    stack.coordinator->stepInterfaceInto(iface, out);
+    group.stepLaneInto(0, iface, out);
     std::vector<WireTrafficStats> sentBase, recvBase;
-    for (Index k = 0; k < stack.coordinator->channelCount(); ++k) {
-        sentBase.push_back(stack.coordinator->channel(k).sentStats());
-        recvBase.push_back(stack.coordinator->channel(k).receivedStats());
+    for (Index k = 0; k < group.channelCount(); ++k) {
+        sentBase.push_back(group.channel(k).sentStats());
+        recvBase.push_back(group.channel(k).receivedStats());
     }
     p.stepsPerSec = benchStepsPerSecond([&] {
-        stack.coordinator->stepInterfaceInto(iface, out);
+        group.stepLaneInto(0, iface, out);
         ++steps;
     });
-    for (Index k = 0; k < stack.coordinator->channelCount(); ++k)
-        diffStats(stack.coordinator->channel(k), sentBase[k], recvBase[k],
-                  p);
+    for (Index k = 0; k < group.channelCount(); ++k)
+        diffStats(group.channel(k), sentBase[k], recvBase[k], p);
     p.statSteps = static_cast<double>(steps);
     return p;
 }
@@ -382,7 +384,6 @@ runPipelinedPoint(Transport transport, Index tiles, Index workers,
     return p;
 }
 
-/** One measured kill + recovery on the sync coordinator. */
 /**
  * Byte sizes of one tile's checkpoint frame under the v6 sparse
  * encoding vs the dense escape, plus the bit-identity verdict of a
@@ -499,31 +500,31 @@ runRecoveryRow(Transport transport, Index tiles, Index workers,
     row.interval = interval;
     row.denseFrames = denseFrames;
 
-    LocalShardCluster stack = makeLocalCluster(
-        toCluster(transport), cfg, tiles, workers, MergePolicy::Confidence,
-        /*wantWeightings=*/false);
-    auto harness = armClusterRecovery(stack, toCluster(transport));
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        toCluster(transport), cfg, tiles, /*lanes=*/1, workers);
+    auto harness = armClusterRecovery(cluster, toCluster(transport));
+    ShardLaneGroup &group = *cluster.group;
 
     using Clock = std::chrono::steady_clock;
     const auto stepMs = [&](MemoryReadout &out) {
         const auto t0 = Clock::now();
-        stack.coordinator->stepInterfaceInto(iface, out);
+        group.stepLaneInto(0, iface, out);
         return std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
     };
 
     MemoryReadout out;
-    Index sent = 0; // Step frames every worker has received
+    Index sent = 0; // LaneStep frames every worker has received
     for (Index i = 0; i < interval + 2; ++i, ++sent)
-        stack.coordinator->stepInterfaceInto(iface, out);
+        group.stepLaneInto(0, iface, out);
     row.stepMs = 1e9;
     for (Index i = 0; i < 5; ++i, ++sent)
         row.stepMs = std::min(row.stepMs, stepMs(out));
 
     FaultSpec kill;
     kill.killAtStepFrame = sent + interval / 2;
-    stack.workers[0]->injectFault(kill);
-    while (stack.coordinator->recoveries() == 0) {
+    cluster.workers[0]->injectFault(kill);
+    while (group.recoveries() == 0) {
         row.recoveryMs = stepMs(out);
         ++sent;
     }
@@ -596,7 +597,7 @@ main(int argc, char **argv)
         Transport transport;
         Index tiles;
         Index workers;
-        Index lanesPerBatch;      ///< 0 = sync coordinator
+        Index lanesPerBatch;      ///< 0 = sync (one-lane group)
         Index checkpointInterval; ///< 0 = fault tolerance unarmed
         Index rows = kBenchRows;  ///< memory rows (wire-bound rows shrink)
     };

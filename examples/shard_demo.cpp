@@ -31,8 +31,7 @@
 
 #include "common/random.h"
 #include "obs/obs.h"
-#include "shard/coordinator.h"
-#include "shard/worker.h"
+#include "shard/local_cluster.h"
 #include "workload/retrieval.h"
 
 #include "demo_util.h"
@@ -120,27 +119,21 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Build the sharded stack: loopback workers in-process, or sockets
-    // to external shard_worker processes.
-    std::unique_ptr<ShardCoordinator> coordinator;
-    std::vector<std::shared_ptr<ShardWorker>> loopWorkers;
+    // Build the sharded stack — a one-lane ShardLaneGroup whose lane 0
+    // is the synchronous sharded memory: loopback workers in-process, or
+    // sockets to external shard_worker processes.
+    LocalLaneCluster cluster;
+    std::shared_ptr<RespawnHarness> respawns;
     if (addrs.empty()) {
-        // Checkpoint every 16 steps: recovery engages once a respawner
-        // is installed below, and the per-type traffic report gains the
+        // Checkpoint every 16 steps: recovery engages with the respawner
+        // armed below, and the per-type traffic report gains the
         // CheckpointRequest/CheckpointState rows.
         cfg.shardCheckpointIntervalSteps = 16;
-        LoopbackShard stack = makeLoopbackShard(cfg, tiles, workers);
-        coordinator = std::move(stack.coordinator);
-        loopWorkers = std::move(stack.workers);
-        coordinator->setRespawner([&loopWorkers](Index) {
-            auto worker = std::make_shared<ShardWorker>();
-            loopWorkers.push_back(worker);
-            return std::make_unique<LoopbackChannel>(
-                [worker](const std::uint8_t *data, std::size_t size,
-                         FrameSink &reply) {
-                    worker->handleFrame(data, size, reply);
-                });
-        });
+        cluster = makeLocalLaneCluster(ClusterTransport::Loopback, cfg,
+                                       tiles, /*lanes=*/1, workers,
+                                       MergePolicy::Confidence,
+                                       /*wantWeightings=*/true);
+        respawns = armClusterRecovery(cluster, ClusterTransport::Loopback);
         std::printf("shard_demo: %zu tiles on %zu loopback workers "
                     "(N=%zu -> %zu rows/tile), checkpoint every %zu "
                     "steps\n",
@@ -150,8 +143,8 @@ main(int argc, char **argv)
         // shm regions must fit every protocol frame (checkpoint
         // snapshots included) for the largest hosted-tile share.
         const Index hosted = (tiles + addrs.size() - 1) / addrs.size();
-        const std::size_t slotBytes =
-            shmSlotBytesFor(shardConfigFor(cfg, tiles), hosted);
+        const std::size_t slotBytes = shmSlotBytesFor(
+            shardConfigFor(cfg, tiles), tiles, hosted, /*lanes=*/1);
         std::vector<std::unique_ptr<Channel>> channels;
         for (const std::string &addr : addrs) {
             auto chan = connectAddr(addr, slotBytes);
@@ -165,11 +158,15 @@ main(int argc, char **argv)
             chan->setRecvTimeout(30000);
             channels.push_back(std::move(chan));
         }
-        coordinator = std::make_unique<ShardCoordinator>(
-            cfg, tiles, MergePolicy::Confidence, std::move(channels));
+        cluster.group = std::make_shared<ShardLaneGroup>(
+            cfg, tiles, /*lanes=*/1, MergePolicy::Confidence,
+            std::move(channels), /*wantWeightings=*/true);
         std::printf("shard_demo: %zu tiles across %zu connected workers\n",
                     tiles, addrs.size());
     }
+
+    ShardLaneGroup &group = *cluster.group;
+    const std::unique_ptr<TileMemory> memory = group.laneMemory(0);
 
     // 1. Learned sharding + confidence merge: store token t's record on
     //    tile t, then query and watch the alphas find the owner.
@@ -182,19 +179,19 @@ main(int argc, char **argv)
         for (Index other = 0; other < tiles; ++other)
             if (other != t)
                 perTile[other].writeGate = 0.0;
-        coordinator->stepInterfaces(perTile);
+        memory->stepInterfaces(perTile);
     }
     std::printf("\nmerge alphas after querying each stored token:\n");
     for (Index t = 0; t < tiles; ++t) {
-        coordinator->stepInterface(scripter.queryInterface(t));
+        memory->stepInterface(scripter.queryInterface(t));
         std::printf("  token %zu:", t);
-        for (Real a : coordinator->lastAlphas()[0])
+        for (Real a : memory->lastAlphas()[0])
             std::printf(" %.3f", a);
         std::printf("   <- tile %zu owns it\n", t);
     }
 
     // 2. Live bit-exactness cross-check against the in-process model.
-    coordinator->reset();
+    memory->reset();
     DncD ref(cfg, tiles);
     Rng rng(2026);
     Index mismatches = 0;
@@ -211,12 +208,12 @@ main(int argc, char **argv)
                 iface = scripter.queryInterface(stepRng.uniformInt(16));
         }
         const MemoryReadout a = ref.stepInterface(iface);
-        const MemoryReadout b = coordinator->stepInterface(iface);
+        const MemoryReadout b = memory->stepInterface(iface);
         for (Index h = 0; h < cfg.readHeads; ++h)
             if (!(a.readVectors[h] == b.readVectors[h]))
                 ++mismatches;
         if (statsInterval != 0 && (s + 1) % statsInterval == 0) {
-            coordinator->scrapeWorkers(perWorker, fleet);
+            group.scrapeWorkers(perWorker, fleet);
             const obs::SnapshotEntry *served =
                 fleet.find("worker.steps_served");
             std::printf("  [stats @ step %zu] fleet series: %zu, worker "
@@ -234,13 +231,13 @@ main(int argc, char **argv)
     // 3. Merge round-trip throughput + per-message-type wire cost.
     const InterfaceVector query = scripter.queryInterface(3);
     std::vector<WireTrafficStats> sentBase, recvBase;
-    for (Index k = 0; k < coordinator->channelCount(); ++k) {
-        sentBase.push_back(coordinator->channel(k).sentStats());
-        recvBase.push_back(coordinator->channel(k).receivedStats());
+    for (Index k = 0; k < group.channelCount(); ++k) {
+        sentBase.push_back(group.channel(k).sentStats());
+        recvBase.push_back(group.channel(k).receivedStats());
     }
     const auto start = std::chrono::steady_clock::now();
     for (Index s = 0; s < steps; ++s)
-        coordinator->stepInterface(query);
+        memory->stepInterface(query);
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -249,8 +246,8 @@ main(int argc, char **argv)
                 steps, seconds, static_cast<double>(steps) / seconds);
     std::printf("wire traffic per step, by message type:\n");
     WireTrafficStats sentDiff, recvDiff;
-    for (Index k = 0; k < coordinator->channelCount(); ++k) {
-        const Channel &chan = coordinator->channel(k);
+    for (Index k = 0; k < group.channelCount(); ++k) {
+        const Channel &chan = group.channel(k);
         sentDiff += chan.sentStats().diffFrom(sentBase[k]);
         recvDiff += chan.receivedStats().diffFrom(recvBase[k]);
     }
@@ -264,11 +261,11 @@ main(int argc, char **argv)
     //    checkpoint, replays the logged steps since, and the stream
     //    stays bit-identical to the undisturbed reference.
     if (addrs.empty()) {
-        coordinator->reset();
+        memory->reset();
         ref.reset();
         FaultSpec kill;
         kill.killAtStepFrame = 5; // dies mid-interval: restore + replay
-        loopWorkers[0]->injectFault(kill);
+        cluster.workers[0]->injectFault(kill);
         Index faultMismatches = 0;
         for (Index s = 0; s < 24; ++s) {
             Rng stepRng(3000 + s);
@@ -278,7 +275,7 @@ main(int argc, char **argv)
                                               stepRng.uniformInt(16))
                     : scripter.queryInterface(stepRng.uniformInt(16));
             const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = coordinator->stepInterface(iface);
+            const MemoryReadout b = memory->stepInterface(iface);
             for (Index h = 0; h < cfg.readHeads; ++h)
                 if (!(a.readVectors[h] == b.readVectors[h]))
                     ++faultMismatches;
@@ -286,9 +283,9 @@ main(int argc, char **argv)
         std::printf("\nfault tolerance: killed worker 0 mid-run -> %zu "
                     "recovery (%zu checkpoint pulls so far), 24 steps "
                     "after the kill %s\n",
-                    static_cast<std::size_t>(coordinator->recoveries()),
+                    static_cast<std::size_t>(group.recoveries()),
                     static_cast<std::size_t>(
-                        coordinator->checkpointsTaken()),
+                        group.checkpointsTaken()),
                     faultMismatches == 0 ? "bit-identical (recovered)"
                                          : "DIVERGED (BUG!)");
         mismatches += faultMismatches;
@@ -297,7 +294,7 @@ main(int argc, char **argv)
     // Final fleet scrape: every worker's registry merged with this
     // process's, rendered as the Prometheus text a scraper would pull.
     if (statsInterval != 0) {
-        coordinator->scrapeWorkers(perWorker, fleet);
+        group.scrapeWorkers(perWorker, fleet);
         std::string text;
         obs::renderPrometheus(fleet, text);
         std::printf("\nfleet telemetry (%zu workers + coordinator):\n%s",

@@ -7,7 +7,7 @@
  *   usage: shard_worker <unix:/path/to.sock | tcp:PORT | shm:/name>
  *
  * Launch one per shard host, then point shard_demo (or any
- * ShardCoordinator) at the addresses:
+ * ShardLaneGroup) at the addresses:
  *
  *   ./shard_worker unix:/tmp/tile0.sock &
  *   ./shard_worker unix:/tmp/tile1.sock &
@@ -18,9 +18,10 @@
  * to it, waiting up to two minutes for the region to appear — so the
  * worker may be launched first, exactly like the socket modes.
  *
- * The worker is entirely passive: shapes, datapath mode and hosted tile
- * count all arrive in the coordinator's Hello and are validated before
- * the first step.
+ * The worker is entirely passive: shapes, datapath mode, lane count and
+ * its tile assignment (first global tile, hosted count, global Nt) all
+ * arrive in the coordinator's Hello and are validated before the first
+ * step.
  */
 
 #include <cstdio>

@@ -17,9 +17,9 @@
  * gating converges to for retrieval workloads (see DESIGN.md).
  *
  * The stepping surface is the abstract TileMemory: DncD is the
- * in-process implementation (tiles on a thread pool); the multi-process
- * ShardCoordinator (src/shard/coordinator.h) implements the same
- * surface over a wire protocol and must match DncD bit for bit. The
+ * in-process implementation (tiles on a thread pool); each lane of the
+ * multi-process ShardLaneGroup (src/shard/pipeline.h) implements the
+ * same surface over a wire protocol and must match DncD bit for bit. The
  * merge arithmetic both share lives here — ConfidenceGate (alpha
  * selection + softmax) and mergeTileReadouts (the Eq. 4 weighted sum
  * plus the global-view weighting concat) — so the two backends cannot
@@ -127,8 +127,8 @@ void mergeTileReadouts(const std::vector<const MemoryReadout *> &locals,
  * The stepping surface of a sharded DNC memory: Nt tiles driven by
  * scripted (or controller-emitted) interface vectors with the
  * read-vector merge applied. Implemented in-process by DncD and over
- * the wire by ShardCoordinator; ShardedDnc and the workload harness
- * accept either.
+ * the wire by ShardLaneGroup::laneMemory(); ShardedDnc and the workload
+ * harness accept either.
  */
 class TileMemory
 {

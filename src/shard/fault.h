@@ -8,7 +8,7 @@
  * bit-exact state every run, on every transport.
  *
  * Faults are expressed in *frame counts*, not wall-clock: kill-at-the-
- * Nth-step-frame fires just before the worker would serve that Step or
+ * Nth-step-frame fires just before the worker would serve that
  * LaneStep (so the coordinator never sees its reply), drop-at-the-Nth-
  * frame severs the channel regardless of frame type (handshake and
  * control frames included), and delay sleeps before serving to make
@@ -25,11 +25,11 @@ namespace hima {
 /** One worker's scripted failure (0 = never for every trigger). */
 struct FaultSpec
 {
-    /** Die just before serving the Nth Step/LaneStep frame (1-based). */
+    /** Die just before serving the Nth LaneStep frame (1-based). */
     std::uint64_t killAtStepFrame = 0;
     /** Die on the Nth inbound frame of any type (1-based). */
     std::uint64_t dropAtFrame = 0;
-    /** Sleep `delayMs` before serving the Nth Step/LaneStep (1-based). */
+    /** Sleep `delayMs` before serving the Nth LaneStep (1-based). */
     std::uint64_t delayAtStepFrame = 0;
     std::uint32_t delayMs = 0;
 

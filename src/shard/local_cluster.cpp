@@ -23,7 +23,8 @@ clusterShmSlotBytes(const DncConfig &config, Index tiles, Index lanes,
                     Index workerCount)
 {
     const Index hosted = (tiles + workerCount - 1) / workerCount;
-    return shmSlotBytesFor(shardConfigFor(config, tiles), hosted, lanes);
+    return shmSlotBytesFor(shardConfigFor(config, tiles), tiles, hosted,
+                           lanes);
 }
 
 /**
@@ -128,20 +129,6 @@ makeClusterWorker(ClusterTransport transport,
     return client;
 }
 
-LocalShardCluster
-makeLocalCluster(ClusterTransport transport, const DncConfig &config,
-                 Index tiles, Index workerCount, MergePolicy policy,
-                 bool wantWeightings)
-{
-    LocalShardCluster cluster;
-    std::vector<std::unique_ptr<Channel>> channels =
-        buildChannels(transport, config, tiles, /*lanes=*/1, workerCount,
-                      cluster.workers, cluster.threads);
-    cluster.coordinator = std::make_unique<ShardCoordinator>(
-        config, tiles, policy, std::move(channels), wantWeightings);
-    return cluster;
-}
-
 LocalLaneCluster
 makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
                      Index tiles, Index lanes, Index workerCount,
@@ -157,39 +144,19 @@ makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
 }
 
 std::shared_ptr<RespawnHarness>
-armClusterRecovery(LocalShardCluster &cluster, ClusterTransport transport)
-{
-    auto harness = std::make_shared<RespawnHarness>();
-    harness->transport = transport;
-    // Replacement channels must host the same frames the fleet does —
-    // size their rings from the coordinator's own shard shape.
-    harness->shmSlotBytes = shmSlotBytesFor(
-        cluster.coordinator->shardConfig(),
-        (cluster.coordinator->tiles() +
-         cluster.coordinator->channelCount() - 1) /
-            cluster.coordinator->channelCount());
-    harness->recvTimeoutMs = static_cast<int>(
-        cluster.coordinator->globalConfig().shardRecvTimeoutMs);
-    cluster.coordinator->setRespawner([harness](Index) {
-        return makeClusterWorker(harness->transport, harness->workers,
-                                 harness->threads, harness->shmSlotBytes,
-                                 harness->recvTimeoutMs);
-    });
-    return harness;
-}
-
-std::shared_ptr<RespawnHarness>
 armClusterRecovery(LocalLaneCluster &cluster, ClusterTransport transport)
 {
     auto harness = std::make_shared<RespawnHarness>();
     harness->transport = transport;
+    // Replacement channels must host the same frames the fleet does —
+    // size their rings from the group's own shard shape.
+    const ShardLaneGroup &group = *cluster.group;
     harness->shmSlotBytes = shmSlotBytesFor(
-        cluster.group->shardConfig(),
-        (cluster.group->tiles() + cluster.group->channelCount() - 1) /
-            cluster.group->channelCount(),
-        cluster.group->lanes());
+        group.shardConfig(), group.tiles(),
+        (group.tiles() + group.channelCount() - 1) / group.channelCount(),
+        group.lanes());
     harness->recvTimeoutMs =
-        static_cast<int>(cluster.group->globalConfig().shardRecvTimeoutMs);
+        static_cast<int>(group.globalConfig().shardRecvTimeoutMs);
     cluster.group->setRespawner([harness](Index) {
         return makeClusterWorker(harness->transport, harness->workers,
                                  harness->threads, harness->shmSlotBytes,

@@ -1,14 +1,16 @@
 /**
  * @file
- * Single-host shard cluster: a coordinator plus `workerCount` workers
- * living in this process — either behind synchronous loopback channels
- * (deterministic, no threads) or each serving a real Unix-domain/TCP
- * socket from its own thread. The socket modes exercise the identical
- * codec + framing a multi-process deployment uses (shard_worker
- * processes), so they double as the test/bench harness for the wire
- * and as a real deployment shape for one multi-core box.
+ * Single-host shard cluster: a ShardLaneGroup coordinator plus
+ * `workerCount` workers living in this process — either behind
+ * synchronous loopback channels (deterministic, no threads) or each
+ * serving a real Unix-domain/TCP socket or shm ring from its own
+ * thread. The threaded modes exercise the identical codec + framing a
+ * multi-process deployment uses (shard_worker processes), so they
+ * double as the test/bench harness for the wire and as a real
+ * deployment shape for one multi-core box. A 1-lane cluster's
+ * `group->laneMemory(0)` is the synchronous sharded TileMemory.
  *
- * Destruction is ordered: the coordinator's Shutdown frames end every
+ * Destruction is ordered: the group's Shutdown frames end every
  * worker's serve() loop before the threads are joined.
  */
 
@@ -19,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "shard/coordinator.h"
 #include "shard/pipeline.h"
 #include "shard/worker.h"
 
@@ -42,66 +43,11 @@ enum class ClusterTransport
     Shm,        ///< zero-copy shared-memory rings to worker threads
 };
 
-/** A coordinator and the in-process workers that serve it. */
-struct LocalShardCluster
-{
-    std::unique_ptr<ShardCoordinator> coordinator;
-    std::vector<std::shared_ptr<ShardWorker>> workers;
-    std::vector<std::thread> threads; ///< socket serve loops (may be empty)
-
-    LocalShardCluster() = default;
-    LocalShardCluster(LocalShardCluster &&) = default;
-
-    /**
-     * Move-assignment shuts the current cluster down first — a plain
-     * defaulted member-wise move would destroy still-joinable serve
-     * threads (std::terminate).
-     */
-    LocalShardCluster &
-    operator=(LocalShardCluster &&other)
-    {
-        if (this != &other) {
-            shutdown();
-            coordinator = std::move(other.coordinator);
-            workers = std::move(other.workers);
-            threads = std::move(other.threads);
-        }
-        return *this;
-    }
-
-    ~LocalShardCluster() { shutdown(); }
-
-  private:
-    void
-    shutdown()
-    {
-        coordinator.reset(); // sends Shutdown; serve() loops return
-        for (std::thread &t : threads)
-            t.join();
-        threads.clear();
-        workers.clear();
-    }
-};
-
 /**
- * Build a cluster of `workerCount` workers hosting `tiles` tiles.
- * Socket endpoints are freshly allocated per call (unique /tmp paths,
- * ephemeral TCP ports), so concurrent clusters never collide; any
- * listen/connect failure is fatal (a hung accept thread would be
- * worse).
- */
-LocalShardCluster
-makeLocalCluster(ClusterTransport transport, const DncConfig &config,
-                 Index tiles, Index workerCount,
-                 MergePolicy policy = MergePolicy::Confidence,
-                 bool wantWeightings = true);
-
-/**
- * A pipelined lane group and the in-process workers that serve it
- * (multi-lane sibling of LocalShardCluster). The group is shared so a
- * PipelinedShardedLaneEngine can co-own it while this struct keeps the
- * worker threads alive; destruction is ordered the same way — the
- * group's Shutdown frames end every serve() loop before the join.
+ * A lane group and the in-process workers that serve it. The group is
+ * shared so a PipelinedShardedLaneEngine can co-own it while this
+ * struct keeps the worker threads alive; the group's Shutdown frames
+ * end every serve() loop before the join.
  */
 struct LocalLaneCluster
 {
@@ -112,6 +58,11 @@ struct LocalLaneCluster
     LocalLaneCluster() = default;
     LocalLaneCluster(LocalLaneCluster &&) = default;
 
+    /**
+     * Move-assignment shuts the current cluster down first — a plain
+     * defaulted member-wise move would destroy still-joinable serve
+     * threads (std::terminate).
+     */
     LocalLaneCluster &
     operator=(LocalLaneCluster &&other)
     {
@@ -148,10 +99,13 @@ struct LocalLaneCluster
 };
 
 /**
- * Build a pipelined cluster: `workerCount` workers hosting
- * `lanes` x `tiles` tile sets behind one ShardLaneGroup. Socket
- * channels get a bounded recv timeout (kShardRecvTimeoutMs) so dead
- * workers fail the step instead of hanging the coordinator.
+ * Build a cluster: `workerCount` workers hosting `lanes` x `tiles` tile
+ * sets behind one ShardLaneGroup. Socket endpoints are freshly
+ * allocated per call (unique /tmp paths, ephemeral TCP ports, fresh shm
+ * names), so concurrent clusters never collide; any listen/connect
+ * failure is fatal (a hung accept thread would be worse). Threaded
+ * transports get a bounded recv timeout (config.shardRecvTimeoutMs) so
+ * dead workers fail the step instead of hanging the coordinator.
  */
 LocalLaneCluster
 makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
@@ -162,7 +116,8 @@ makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
 /**
  * Spawn one fresh, unconfigured worker on `transport` and return a
  * connected channel to it (socket and shm transports add a serve thread
- * and the bounded recv timeout, exactly like makeLocalCluster's fleet).
+ * and the bounded recv timeout, exactly like makeLocalLaneCluster's
+ * fleet).
  * The worker and any thread are appended to the caller's vectors — hand
  * it a cluster's own `workers`/`threads` to grow that fleet, e.g. as
  * the replacement endpoint for migrateWorker() or a rescale().
@@ -207,10 +162,6 @@ struct RespawnHarness
  *
  * @return the harness owning replacements, for inspection/lifetime
  */
-std::shared_ptr<RespawnHarness>
-armClusterRecovery(LocalShardCluster &cluster, ClusterTransport transport);
-
-/** Lane-cluster form of armClusterRecovery(). */
 std::shared_ptr<RespawnHarness>
 armClusterRecovery(LocalLaneCluster &cluster, ClusterTransport transport);
 

@@ -64,31 +64,12 @@ ShardLaneGroup::ShardLaneGroup(
     gates_.resize(lanes);
 
     dealTiles();
-    const Index chans = channels_.size();
-
-    for (Index k = 0; k < chans; ++k) {
-        FrameScope frame(*channels_[k], writer_);
-        encodeHello(WireConfig::fromShard(shardConfig_, tileCount_[k],
-                                          lanes),
-                    frame.writer());
-        frame.commit();
-    }
-    for (Index k = 0; k < chans; ++k) {
-        HelloAckMsg ack;
-        if (!recvFrom(k) || !decodeHelloAck(frameData_, frameSize_, ack))
-            HIMA_FATAL("lane-group handshake: worker %zu sent no valid "
-                       "ack",
-                       k);
-        if (!ack.ok)
-            HIMA_FATAL("lane-group handshake: worker %zu rejected config: "
-                       "%s",
-                       k, ack.message.c_str());
-        if (ack.hostedTiles != tileCount_[k])
-            HIMA_FATAL("lane-group handshake: worker %zu hosts %llu "
-                       "tiles, expected %zu",
-                       k, static_cast<unsigned long long>(ack.hostedTiles),
-                       tileCount_[k]);
-    }
+    // Config handshake: every worker validates shapes, datapath mode and
+    // its tile assignment before any step traffic.
+    for (Index k = 0; k < channels_.size(); ++k)
+        sendHello(k);
+    for (Index k = 0; k < channels_.size(); ++k)
+        awaitHelloAck(k, "shard handshake");
 
     localPtrs_.resize(tiles_);
 }
@@ -96,8 +77,8 @@ ShardLaneGroup::ShardLaneGroup(
 void
 ShardLaneGroup::dealTiles()
 {
-    // Deal tiles contiguously and as evenly as possible (the same
-    // layout as ShardCoordinator, repeated per lane on each worker).
+    // Deal tiles contiguously and as evenly as possible, the same
+    // layout repeated per lane on each worker.
     const Index chans = channels_.size();
     firstTile_.clear();
     tileCount_.clear();
@@ -153,9 +134,7 @@ ShardLaneGroup::scatter(const std::vector<Index> &lanes,
     }
 
     // Select the scored heads per lane *now* (alpha history is
-    // per-lane, so batches touching disjoint lanes commute), and build
-    // the shared frame: lane-addressed, so every worker receives the
-    // identical bytes — one encode per batch.
+    // per-lane, so batches touching disjoint lanes commute).
     entryScratch_.resize(lanes.size());
     for (Index j = 0; j < lanes.size(); ++j) {
         const Index lane = lanes[j];
@@ -166,8 +145,14 @@ ShardLaneGroup::scatter(const std::vector<Index> &lanes,
         entryScratch_[j].scoredMask = maskOf(gates_[lane].selectHeads(
             *ifaces[j], policy_, globalConfig_.readHeads, tiles_));
         entryScratch_[j].iface = ifaces[j];
+        entryScratch_[j].perTile = 0;
     }
+    sendBatch(lanes);
+}
 
+void
+ShardLaneGroup::sendBatch(const std::vector<Index> &lanes)
+{
     obs::TraceSpan span("shard.scatter", lanes.size());
     const std::uint64_t seq = ++seq_;
     Pending &slot =
@@ -334,6 +319,44 @@ ShardLaneGroup::stepLaneInto(Index lane, const InterfaceVector &iface,
 }
 
 void
+ShardLaneGroup::stepLaneTilesInto(Index lane,
+                                  const std::vector<InterfaceVector> &ifaces,
+                                  MemoryReadout &out)
+{
+    HIMA_ASSERT(pendingCount_ == 0,
+                "stepLaneTilesInto while %zu batches are in flight",
+                pendingCount_);
+    HIMA_ASSERT(lane < gates_.size(), "lane %zu out of range", lane);
+    HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
+    // The merge contract (Fig. 8) is that *queries broadcast*: per-tile
+    // sub-interfaces may differ in write-side fields (learned write
+    // sharding), but the read keys/strengths every tile scores with
+    // must be identical — each worker scores its tiles with their own
+    // interfaces, and DncD with ifaces[0], so divergent read fields
+    // would silently break bit-exactness. Enforce the convention.
+    for (Index t = 1; t < tiles_; ++t) {
+        HIMA_ASSERT(ifaces[t].readStrengths == ifaces[0].readStrengths,
+                    "tile %zu read strengths diverge from the broadcast",
+                    t);
+        for (Index h = 0; h < globalConfig_.readHeads; ++h)
+            HIMA_ASSERT(ifaces[t].readKeys[h] == ifaces[0].readKeys[h],
+                        "tile %zu read key %zu diverges from the "
+                        "broadcast",
+                        t, h);
+    }
+    entryScratch_.resize(1);
+    entryScratch_[0].lane = static_cast<std::uint32_t>(lane);
+    entryScratch_[0].scoredMask = maskOf(gates_[lane].selectHeads(
+        ifaces[0], policy_, globalConfig_.readHeads, tiles_));
+    entryScratch_[0].iface = ifaces.data();
+    entryScratch_[0].perTile = tiles_;
+    laneScratch_.assign(1, lane);
+    outScratch_.assign(1, &out);
+    sendBatch(laneScratch_);
+    gather(outScratch_);
+}
+
+void
 ShardLaneGroup::sendControl(ControlKind kind, std::uint32_t lane)
 {
     HIMA_ASSERT(pendingCount_ == 0,
@@ -400,6 +423,31 @@ ShardLaneGroup::resetAll()
 // --------------------------------------------------------------------
 // Fault tolerance: checkpoint pulls, replay log, respawn + restore
 // --------------------------------------------------------------------
+
+void
+ShardLaneGroup::sendHello(Index k)
+{
+    FrameScope frame(*channels_[k], writer_);
+    encodeHello(WireConfig::fromShard(shardConfig_, tiles_, firstTile_[k],
+                                      tileCount_[k], gates_.size()),
+                frame.writer());
+    frame.commit();
+}
+
+void
+ShardLaneGroup::awaitHelloAck(Index k, const char *who)
+{
+    HelloAckMsg ack;
+    if (!recvFrom(k) || !decodeHelloAck(frameData_, frameSize_, ack))
+        HIMA_FATAL("%s: worker %zu sent no valid ack", who, k);
+    if (!ack.ok)
+        HIMA_FATAL("%s: worker %zu rejected config: %s", who, k,
+                   ack.message.c_str());
+    if (ack.hostedTiles != tileCount_[k])
+        HIMA_FATAL("%s: worker %zu hosts %llu tiles, expected %zu", who, k,
+                   static_cast<unsigned long long>(ack.hostedTiles),
+                   tileCount_[k]);
+}
 
 void
 ShardLaneGroup::commitLog(const std::vector<std::uint8_t> &bytes)
@@ -538,24 +586,6 @@ ShardLaneGroup::checkpointNow()
 }
 
 void
-ShardLaneGroup::rejoinWorker(Index k, const char *who)
-{
-    {
-        FrameScope frame(*channels_[k], writer_);
-        encodeRejoin(WireConfig::fromShard(shardConfig_, tileCount_[k],
-                                           gates_.size()),
-                     firstTile_[k], frame.writer());
-        frame.commit();
-    }
-    HelloAckMsg ack;
-    if (!recvFrom(k) ||
-        !decodeHelloAck(frameData_, frameSize_, ack) || !ack.ok ||
-        ack.hostedTiles != tileCount_[k])
-        HIMA_FATAL("%s: worker %zu failed the Rejoin handshake%s%s", who, k,
-                   ack.message.empty() ? "" : ": ", ack.message.c_str());
-}
-
-void
 ShardLaneGroup::restoreWorker(Index k, const char *who)
 {
     {
@@ -591,7 +621,10 @@ ShardLaneGroup::recoverWorker(Index k, const char *what, std::uint64_t seq)
                    k);
     channels_[k] = std::move(fresh);
 
-    rejoinWorker(k, "shard recovery");
+    // The replacement validates shapes and builds zeroed tiles (the t=0
+    // state), taking the lost worker's tile assignment.
+    sendHello(k);
+    awaitHelloAck(k, "shard recovery");
     // Before the first pull there is nothing to restore: freshly built
     // tiles already hold the t=0 state the log replays from.
     if (checkpointValid_)
@@ -631,7 +664,8 @@ ShardLaneGroup::migrateWorker(Index k, std::unique_ptr<Channel> replacement)
 
     std::unique_ptr<Channel> old = std::move(channels_[k]);
     channels_[k] = std::move(replacement);
-    rejoinWorker(k, "shard migration");
+    sendHello(k);
+    awaitHelloAck(k, "shard migration");
     restoreWorker(k, "shard migration");
 
     // Retire the old worker only after the replacement holds the state.
@@ -659,11 +693,12 @@ ShardLaneGroup::rescale(std::vector<std::unique_ptr<Channel>> channels)
     channels_ = std::move(channels);
     dealTiles();
 
-    // Rejoin + Restore the new fleet onto the re-dealt slices. Lane
+    // Hello + Restore the new fleet onto the re-dealt slices. Lane
     // gates live coordinator-side and are untouched, so every serving
     // lane survives the scale-out bit-identically — zero drops.
     for (Index k = 0; k < channels_.size(); ++k) {
-        rejoinWorker(k, "shard rescale");
+        sendHello(k);
+        awaitHelloAck(k, "shard rescale");
         restoreWorker(k, "shard rescale");
     }
 }
@@ -690,10 +725,11 @@ class LaneMemoryView final : public TileMemory
     }
 
     MemoryReadout
-    stepInterfaces(const std::vector<InterfaceVector> &) override
+    stepInterfaces(const std::vector<InterfaceVector> &ifaces) override
     {
-        HIMA_FATAL("lane views carry broadcast steps only; per-tile "
-                   "write sharding runs on ShardCoordinator");
+        MemoryReadout out;
+        group_.stepLaneTilesInto(lane_, ifaces, out);
+        return out;
     }
 
     void

@@ -1,19 +1,22 @@
 /**
  * @file
- * Pipelined multi-lane shard serving: the coordinator side of the
- * lane-batched wire protocol (wire.h, version 2).
+ * The shard coordinator: the client side of multi-process DNC-D.
  *
- * The synchronous ShardCoordinator owns one lane and pays one full
- * round trip per step; at high tile counts the socket latency of that
- * round trip is the throughput ceiling (see the in_process-vs-tcp gap
- * in BENCH_shard.json). ShardLaneGroup buys the gap back with the two
- * overlap tricks throughput-oriented serving systems use:
+ * ShardLaneGroup drives `lanes` independent tile sets on a fleet of
+ * workers. Per step it scatters interface vectors (scored-head masks
+ * included, so workers only compute the confidence logits the merge
+ * will use), gathers every tile's read vectors + logits, and performs
+ * the exact confidence-softmax merge through the *same* ConfidenceGate
+ * and mergeTileReadouts code DncD runs — so each lane is bit-identical
+ * per step to the in-process model by construction, proven in
+ * tests/test_shard.cpp across transports x tiles x threads x datapath.
+ *
+ * Serving throughput comes from two overlap tricks:
  *
  *   - lane batching: one LaneStep frame per worker carries k lanes'
- *     broadcast interfaces, so syscalls, wakeups and framing amortize
- *     k-fold — and because the frame is lane-addressed (not
- *     tile-addressed), the *same* encoded bytes go to every worker:
- *     one encode per batch, not per channel;
+ *     interfaces, so syscalls, wakeups and framing amortize k-fold —
+ *     and because the frame is lane-addressed (not tile-addressed),
+ *     the *same* bytes go to every worker;
  *
  *   - a double-buffered step window: up to kMaxInFlight batches may be
  *     outstanding per channel (scatter B before gathering A), so the
@@ -23,30 +26,28 @@
  * Lanes are independent tile sets on the workers, so any interleaving
  * of batches is bit-identical per lane to the synchronous schedule —
  * each lane still sees the strict controller -> tiles -> merge order.
- * Per-lane state here is exactly the sync coordinator's (a
- * ConfidenceGate per lane; the same mergeTileReadouts), so a lane of a
- * group must match the in-process DncD bit for bit, proven in
- * tests/test_shard.cpp across transports x tiles x threads x datapath.
  *
- * laneMemory() exposes one lane behind the TileMemory surface, so a
- * plain ShardedDnc (or the golden harness) can drive a single lane of
- * a shared fleet synchronously; PipelinedShardedLaneEngine
- * (sharded_dnc.h) drives all lanes with the overlapped schedule behind
- * the LaneEngine surface the Router consumes.
+ * laneMemory() exposes one lane behind the synchronous TileMemory
+ * surface, per-tile write sharding (stepInterfaces) included: a 1-lane
+ * group's view is the sync sharded memory a plain ShardedDnc, the
+ * golden harness or the retrieval workload drives.
+ * PipelinedShardedLaneEngine (sharded_dnc.h) drives all lanes with the
+ * overlapped schedule behind the LaneEngine surface the Router
+ * consumes.
  *
- * Wire v3 fault tolerance mirrors ShardCoordinator's: setRespawner()
- * plus a nonzero DncConfig::shardCheckpointIntervalSteps arm periodic
- * checkpoint pulls (taken at a gather that empties the in-flight
- * window) and a replay log of every frame since the last pull. Because
- * LaneStep frames are lane-addressed, the *same* bytes go to every
- * worker, so the log stores one buffer per entry, not per channel. On
- * a worker loss mid-gather the group respawns, Rejoins, Restores the
- * worker's lane-major checkpoint slice, replays the log, then resends
- * the up-to-kMaxInFlight outstanding batch frames oldest-first — the
- * double-buffered window drains deterministically and every later step
- * is bit-identical to an undisturbed run. migrateWorker()/rescale()
- * reuse the same frames to move tile slices between live workers or
- * re-deal them over a grown fleet with zero dropped lanes.
+ * Fault tolerance: setRespawner() plus a nonzero
+ * DncConfig::shardCheckpointIntervalSteps arm periodic checkpoint pulls
+ * (taken at a gather that empties the in-flight window) and a replay
+ * log of every frame since the last pull. Frames are identical on
+ * every channel, so the log stores one buffer per entry, not per
+ * channel. On a worker loss the group respawns, sends the replacement
+ * the lost worker's Hello, Restores its lane-major checkpoint slice,
+ * replays the log, then resends the outstanding frames oldest-first —
+ * the window drains deterministically and every later step is
+ * bit-identical to an undisturbed run. All merge state (the per-lane
+ * gates) lives coordinator-side, so migrateWorker()/rescale() reuse the
+ * same frames to move tile slices between live workers or re-deal them
+ * over a grown fleet with zero dropped lanes.
  */
 
 #ifndef HIMA_SHARD_PIPELINE_H
@@ -69,17 +70,19 @@ class ShardLaneGroup
     static constexpr Index kMaxInFlight = 2;
 
     /**
-     * Connect and handshake: every worker hosts `lanes` independent
-     * tile sets of its contiguous tile range (the same even deal as
-     * ShardCoordinator), validated before any step traffic.
+     * Connect and handshake: tiles are dealt contiguously over the
+     * channels as evenly as possible (channel k hosts tiles/channels
+     * +- 1), and every worker hosts `lanes` independent tile sets of
+     * its range, validated before any step traffic.
      *
      * @param config   global DNC shapes (memoryRows = global N)
      * @param tiles    tile count Nt per lane; must divide memoryRows
      * @param lanes    serving lanes hosted by the fleet
      * @param policy   read-vector merge policy
      * @param channels one connected channel per worker (1..tiles)
-     * @param wantWeightings ship per-tile weightings back (golden
-     *        harness); serving paths leave it off
+     * @param wantWeightings ship per-tile weightings back so readouts
+     *        carry the concatenated global view (DncD parity — the
+     *        golden harness needs it); serving paths leave it off
      */
     ShardLaneGroup(const DncConfig &config, Index tiles, Index lanes,
                    MergePolicy policy,
@@ -96,11 +99,11 @@ class ShardLaneGroup
 
     /**
      * Begin one batch step: lane ids (strictly increasing) with one
-     * broadcast interface each. Encodes a single LaneStep frame, queues
-     * it on every channel and flushes — then returns immediately; the
-     * batch is outstanding until the matching gather(). At most
-     * kMaxInFlight batches may be outstanding, and a lane must not
-     * appear in two outstanding batches (its tiles would race).
+     * broadcast interface each. Encodes a single LaneStep frame, sends
+     * it on every channel — then returns immediately; the batch is
+     * outstanding until the matching gather(). At most kMaxInFlight
+     * batches may be outstanding, and a lane must not appear in two
+     * outstanding batches (its tiles would race).
      */
     void scatter(const std::vector<Index> &lanes,
                  const std::vector<const InterfaceVector *> &ifaces);
@@ -120,15 +123,27 @@ class ShardLaneGroup
 
     // --- synchronous per-lane surface ----------------------------------
 
-    /** One lane's step as a single scatter+gather round trip. */
+    /** One lane's broadcast step as a single scatter+gather round trip. */
     void stepLaneInto(Index lane, const InterfaceVector &iface,
                       MemoryReadout &out);
 
     /**
-     * One lane behind the TileMemory surface (broadcast steps only; the
-     * per-tile write-sharding path stays on ShardCoordinator). The view
-     * borrows this group — it must not outlive it — and must not be
-     * stepped while batches are in flight.
+     * One lane's step with per-tile interfaces (learned write
+     * sharding): global tile t steps with ifaces[t]. Queries still
+     * broadcast — read keys and strengths must be identical across
+     * tiles (asserted), since the merge scores every tile against the
+     * same query.
+     */
+    void stepLaneTilesInto(Index lane,
+                           const std::vector<InterfaceVector> &ifaces,
+                           MemoryReadout &out);
+
+    /**
+     * One lane behind the synchronous TileMemory surface: broadcast and
+     * per-tile steps, reset (EpisodeReset control) and beginEpisode
+     * (Admit control) for that lane alone. The view borrows this group
+     * — it must not outlive it — and must not be stepped while batches
+     * are in flight.
      */
     std::unique_ptr<TileMemory> laneMemory(Index lane);
 
@@ -159,7 +174,7 @@ class ShardLaneGroup
     /** Lane-steps completed (gathered) since construction. */
     std::uint64_t laneSteps() const { return laneSteps_; }
 
-    // --- fault tolerance (wire v3) -------------------------------------
+    // --- fault tolerance -----------------------------------------------
 
     /**
      * Install the replacement-channel factory. Recovery is armed when a
@@ -191,7 +206,7 @@ class ShardLaneGroup
     /**
      * Re-deal all tiles over a new fleet mid-run (e.g. 8 -> 16
      * workers) with zero dropped lanes: checkpoint, retire the old
-     * fleet, Rejoin + Restore the new one. Per-lane gates live
+     * fleet, Hello + Restore the new one. Per-lane gates live
      * coordinator-side, so every lane resumes bit-identically.
      */
     void rescale(std::vector<std::unique_ptr<Channel>> channels);
@@ -208,13 +223,24 @@ class ShardLaneGroup
      * Pull every worker's telemetry registry (StatsPull/StatsReport)
      * into `perWorker` (one snapshot per worker, channel order) and
      * merge them — plus this process's registry and the group's wire
-     * counters ("shard.wire.*") — into `aggregate`. Requires an empty
-     * in-flight window, like every control-plane exchange here.
+     * counters ("shard.wire.*") — into `aggregate`. On a loopback fleet
+     * the workers share this process's registry, so process-wide series
+     * appear once per worker plus once for the coordinator; fleet
+     * totals stay meaningful for worker-local series (kernel.*,
+     * worker.*) only. Requires an empty in-flight window, like every
+     * control-plane exchange here.
      */
     void scrapeWorkers(std::vector<obs::Snapshot> &perWorker,
                        obs::Snapshot &aggregate);
 
   private:
+    /**
+     * Encode entryScratch_ (one entry per lane of `lanes`) as one
+     * LaneStep frame, send it on every channel and open its window
+     * slot.
+     */
+    void sendBatch(const std::vector<Index> &lanes);
+
     void sendControl(ControlKind kind, std::uint32_t lane);
 
     /** Deal tiles contiguously/evenly over channels_. */
@@ -226,11 +252,14 @@ class ShardLaneGroup
                globalConfig_.shardCheckpointIntervalSteps > 0;
     }
 
-    /** Respawn + Rejoin + Restore + replay; fatal when not armed. */
+    /** Respawn + Hello + Restore + replay; fatal when not armed. */
     void recoverWorker(Index k, const char *what, std::uint64_t seq);
 
-    /** Rejoin handshake for worker k's assignment on channels_[k]. */
-    void rejoinWorker(Index k, const char *who);
+    /** Send worker k's Hello (config + tile assignment). */
+    void sendHello(Index k);
+
+    /** Await worker k's HelloAck; fatal on rejection. */
+    void awaitHelloAck(Index k, const char *who);
 
     /** Restore worker k's checkpoint slice; await the ControlAck. */
     void restoreWorker(Index k, const char *who);
@@ -285,15 +314,15 @@ class ShardLaneGroup
     std::vector<std::uint8_t> frame_;
     const std::uint8_t *frameData_ = nullptr;
     std::size_t frameSize_ = 0;
-    std::vector<LaneStepEntry> entryScratch_;
+    std::vector<LaneStepEntry> entryScratch_; ///< the next frame's entries
     std::vector<LaneStepReplyMsg> replies_;        ///< per channel
     std::vector<const MemoryReadout *> localPtrs_; ///< per global tile
     std::vector<Real> scoreScratch_; ///< scoredHeads x tiles, row-major
-    std::vector<Index> laneScratch_; ///< stepLaneInto's one-lane batch
+    std::vector<Index> laneScratch_; ///< the one-lane batch of sync steps
     std::vector<const InterfaceVector *> ifaceScratch_;
     std::vector<MemoryReadout *> outScratch_;
 
-    // Fault tolerance: checkpoint store + replay log (wire v3). Frames
+    // Fault tolerance: checkpoint store + replay log. Frames
     // are identical on every channel, so log entries and the control
     // resend scratch hold one buffer each; all rings reuse capacity so
     // a steady state that includes checkpointing allocates nothing.

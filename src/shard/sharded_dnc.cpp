@@ -64,88 +64,6 @@ ShardedDnc::beginEpisode()
 }
 
 // --------------------------------------------------------------------
-// ShardedLaneEngine
-// --------------------------------------------------------------------
-
-ShardedLaneEngine::ShardedLaneEngine(const DncConfig &config,
-                                     std::uint64_t seed,
-                                     const BackendFactory &factory)
-    : config_(config)
-{
-    HIMA_ASSERT(static_cast<bool>(factory),
-                "ShardedLaneEngine: null backend factory");
-    lanes_.reserve(config_.batchSize);
-    for (Index lane = 0; lane < config_.batchSize; ++lane)
-        lanes_.push_back(
-            std::make_unique<ShardedDnc>(config_, seed, factory(lane)));
-    states_.assign(config_.batchSize, LaneState::Active);
-    active_ = config_.batchSize;
-    freeSlots_.reserve(config_.batchSize);
-}
-
-void
-ShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
-                            std::vector<Vector> &outputs)
-{
-    HIMA_ASSERT(inputs.size() == states_.size(),
-                "stepInto: need one input slot per lane");
-    outputs.resize(states_.size());
-    for (Index slot = 0; slot < states_.size(); ++slot)
-        if (states_[slot] == LaneState::Active)
-            lanes_[slot]->stepInto(inputs[slot], outputs[slot]);
-}
-
-Index
-ShardedLaneEngine::admit()
-{
-    HIMA_ASSERT(!freeSlots_.empty(), "admit: no free lanes");
-    const Index slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    lanes_[slot]->beginEpisode();
-    states_[slot] = LaneState::Active;
-    ++active_;
-    return slot;
-}
-
-void
-ShardedLaneEngine::markDraining(Index slot)
-{
-    HIMA_ASSERT(slot < states_.size(), "markDraining: slot %zu >= %zu", slot,
-                states_.size());
-    HIMA_ASSERT(states_[slot] == LaneState::Active,
-                "markDraining: slot %zu is not Active", slot);
-    states_[slot] = LaneState::Draining;
-    --active_;
-    ++draining_;
-}
-
-void
-ShardedLaneEngine::release(Index slot)
-{
-    HIMA_ASSERT(slot < states_.size(), "release: slot %zu >= %zu", slot,
-                states_.size());
-    HIMA_ASSERT(states_[slot] != LaneState::Free,
-                "release: slot %zu is already Free", slot);
-    if (states_[slot] == LaneState::Active)
-        --active_;
-    else
-        --draining_;
-    states_[slot] = LaneState::Free;
-    freeSlots_.push_back(slot);
-}
-
-void
-ShardedLaneEngine::reset()
-{
-    for (auto &lane : lanes_)
-        lane->reset();
-    states_.assign(states_.size(), LaneState::Active);
-    freeSlots_.clear();
-    active_ = states_.size();
-    draining_ = 0;
-}
-
-// --------------------------------------------------------------------
 // PipelinedShardedLaneEngine
 // --------------------------------------------------------------------
 

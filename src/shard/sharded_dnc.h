@@ -1,41 +1,33 @@
 /**
  * @file
  * ShardedDnc: a full DNC whose controller runs locally and whose
- * external memory is a TileMemory — the in-process DncD or the
- * wire-connected ShardCoordinator. This is the Fig. 8 deployment shape:
- * the LSTM and projection heads live with the request front-end, the
- * memory tiles live wherever capacity is (threads, processes, hosts),
- * and only interface vectors and merged read vectors cross the
- * boundary.
+ * external memory is a TileMemory — the in-process DncD or one lane of
+ * a wire-connected ShardLaneGroup (laneMemory()). This is the Fig. 8
+ * deployment shape: the LSTM and projection heads live with the request
+ * front-end, the memory tiles live wherever capacity is (threads,
+ * processes, hosts), and only interface vectors and merged read vectors
+ * cross the boundary. It is also the per-lane reference the serving
+ * engine is proven against.
  *
- * ShardedLaneEngine lifts capacity-many ShardedDnc instances behind the
- * LaneEngine surface, so the dynamic-batching Router (src/serve/) can
- * route an arrival process onto a sharded fleet unchanged. Each lane
- * owns its backend (its own tile set on the workers); admit() maps to
- * the wire's Admit control, which episode-resets the lane's remote
- * tiles in place.
- *
- * ShardedLaneEngine keeps one ShardedDnc — controller weights included —
- * per lane; it is the synchronous reference shape.
- *
- * PipelinedShardedLaneEngine is the fleet coordinator: every lane lives
- * on one shared ShardLaneGroup fleet (shard/pipeline.h), steps travel
- * as lane-batched frames (DncConfig::shardLanesPerBatch lanes per worker
- * round trip), and the engine runs a double-buffered step window — batch
- * B's controller sweep runs while batch A's tile round trip is in
- * flight. All lanes share one BatchedController
- * (serve/batched_controller.h): one weight set, streamed once per batch
- * instead of once per lane. Lanes are independent and the batched sweeps keep
- * each lane's arithmetic chain, so each lane's controller -> tiles ->
- * merge -> output result stays bit-identical to a dedicated ShardedDnc
- * run (proven in tests/test_shard.cpp). The Router drives it through the
- * same LaneEngine surface, unchanged.
+ * PipelinedShardedLaneEngine puts the dynamic-batching Router
+ * (src/serve/) on a sharded fleet: every lane lives on one shared
+ * ShardLaneGroup (shard/pipeline.h), steps travel as lane-batched
+ * frames (DncConfig::shardLanesPerBatch lanes per worker round trip),
+ * and the engine runs a double-buffered step window — batch B's
+ * controller sweep runs while batch A's tile round trip is in flight.
+ * All lanes share one BatchedController (serve/batched_controller.h):
+ * one weight set, streamed once per batch instead of once per lane.
+ * Lanes are independent and the batched sweeps keep each lane's
+ * arithmetic chain, so each lane's controller -> tiles -> merge ->
+ * output result stays bit-identical to a dedicated ShardedDnc run
+ * (proven in tests/test_shard.cpp). admit() maps to the wire's per-lane
+ * Admit control, which episode-resets the lane's remote tiles in
+ * place.
  */
 
 #ifndef HIMA_SHARD_SHARDED_DNC_H
 #define HIMA_SHARD_SHARDED_DNC_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -90,60 +82,6 @@ class ShardedDnc
     std::unique_ptr<TileMemory> memory_;
     std::vector<Vector> lastReads_;
     MemoryReadout readout_; ///< reused across step() calls
-};
-
-/**
- * capacity-many ShardedDnc lanes behind the LaneEngine surface. Lanes
- * are independent models (each with its own controller and tile
- * backend), so there is no SoA weight streaming here — the point is
- * placement: lane state lives on the shard workers, and the Router's
- * dynamic batching, admission and back-pressure apply to a distributed
- * fleet unchanged.
- */
-class ShardedLaneEngine final : public LaneEngine
-{
-  public:
-    /** Builds the tile backend for one lane. */
-    using BackendFactory =
-        std::function<std::unique_ptr<TileMemory>(Index lane)>;
-
-    /**
-     * @param config  shapes + serving knobs; batchSize = lane count
-     * @param seed    controller weight seed, shared by every lane
-     * @param factory called once per lane at construction
-     */
-    ShardedLaneEngine(const DncConfig &config, std::uint64_t seed,
-                      const BackendFactory &factory);
-
-    void stepInto(const std::vector<Vector> &inputs,
-                  std::vector<Vector> &outputs) override;
-    Index admit() override;
-    void markDraining(Index slot) override;
-    void release(Index slot) override;
-    LaneState laneState(Index slot) const override
-    {
-        return states_[slot];
-    }
-    Index activeLanes() const override { return active_; }
-    Index drainingLanes() const override { return draining_; }
-    Index freeLanes() const override
-    {
-        return states_.size() - active_ - draining_;
-    }
-    Index capacity() const override { return states_.size(); }
-    void reset() override;
-    const DncConfig &config() const override { return config_; }
-
-    ShardedDnc &lane(Index slot) { return *lanes_[slot]; }
-    const ShardedDnc &lane(Index slot) const { return *lanes_[slot]; }
-
-  private:
-    DncConfig config_;
-    std::vector<std::unique_ptr<ShardedDnc>> lanes_;
-    std::vector<LaneState> states_;
-    std::vector<Index> freeSlots_;
-    Index active_ = 0;
-    Index draining_ = 0;
 };
 
 /**

@@ -188,7 +188,7 @@ class FrameSink
  * One outbound frame, encoded in place when the sink supports it:
  *
  *     FrameScope frame(sink, writer_);
- *     encodeStepReply(..., frame.writer());
+ *     encodeLaneStepReply(..., frame.writer());
  *     frame.commit();
  *
  * On a zero-copy sink (ShmChannel) writer() targets the transport's own
@@ -415,14 +415,16 @@ constexpr std::size_t kShmDefaultSlots = 8;
 
 /**
  * Slot capacity (bytes) that fits every frame the protocol can produce
- * for this shard shape: the checkpoint/restore snapshot of all hosted
- * (lane, tile) memory state is the largest, followed by lane-batched
- * replies with weightings and the scatter broadcast. Rounded up to a
- * page and capped at kWireMaxFrameBytes (a frame too big for a slot is
- * too big for the socket transports as well).
+ * for a worker hosting `hostedTiles` of `tiles` tiles per lane: the
+ * checkpoint/restore snapshot of all hosted (lane, tile) memory state
+ * is usually the largest, followed by lane-batched replies with
+ * weightings and the scatter (up to `lanes` broadcast interfaces plus
+ * one per-tile entry's Nt). Rounded up to a page and capped at
+ * kWireMaxFrameBytes (a frame too big for a slot is too big for the
+ * socket transports as well).
  */
-std::size_t shmSlotBytesFor(const DncConfig &shard, Index hostedTiles,
-                            Index lanes = 1);
+std::size_t shmSlotBytesFor(const DncConfig &shard, Index tiles,
+                            Index hostedTiles, Index lanes);
 
 /**
  * Same-host zero-copy channel: a pair of single-producer /
@@ -582,7 +584,7 @@ ShardError shardRecvError(const Channel &channel, const char *what,
  * (or accept) a fresh worker process for slot `worker` and return a
  * connected channel to it, or null when no replacement can be produced
  * (which makes the loss fatal after all). The returned worker must be
- * unconfigured — the coordinator drives the Rejoin/Restore/replay
+ * unconfigured — the coordinator drives the Hello/Restore/replay
  * sequence itself.
  */
 using ShardRespawnFn = std::function<std::unique_ptr<Channel>(Index worker)>;
@@ -623,8 +625,8 @@ class SocketListener
     /**
      * Accept with a bounded wait: null when no peer connects within
      * `ms` milliseconds (EINTR-safe — signal interruptions re-wait with
-     * the remaining budget). Bounds the coordinator's respawn/rejoin
-     * wait so a replacement worker that never comes back surfaces as a
+     * the remaining budget). Bounds the coordinator's respawn
+     * handshake wait so a replacement worker that never comes back surfaces as a
      * recovery failure instead of a hang.
      */
     std::unique_ptr<SocketChannel> acceptWithTimeout(int ms);

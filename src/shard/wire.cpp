@@ -1,5 +1,6 @@
 #include "shard/wire.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -20,10 +21,6 @@ msgTypeName(MsgType type)
         return "Hello";
     case MsgType::HelloAck:
         return "HelloAck";
-    case MsgType::Step:
-        return "Step";
-    case MsgType::StepReply:
-        return "StepReply";
     case MsgType::Control:
         return "Control";
     case MsgType::ControlAck:
@@ -42,8 +39,6 @@ msgTypeName(MsgType type)
         return "CheckpointState";
     case MsgType::Restore:
         return "Restore";
-    case MsgType::Rejoin:
-        return "Rejoin";
     case MsgType::StatsPull:
         return "StatsPull";
     case MsgType::StatsReport:
@@ -53,7 +48,8 @@ msgTypeName(MsgType type)
 }
 
 WireConfig
-WireConfig::fromShard(const DncConfig &shard, Index hostedTiles, Index lanes)
+WireConfig::fromShard(const DncConfig &shard, Index tiles, Index firstTile,
+                      Index hostedTiles, Index lanes)
 {
     WireConfig wc;
     wc.memoryRows = shard.memoryRows;
@@ -70,6 +66,8 @@ WireConfig::fromShard(const DncConfig &shard, Index hostedTiles, Index lanes)
     wc.linkageSkipThreshold = shard.linkageSkipThreshold;
     wc.readSkipThreshold = shard.readSkipThreshold;
     wc.denseSweep = shard.linkageDenseSweep ? 1 : 0;
+    wc.firstTile = firstTile;
+    wc.tiles = tiles;
     return wc;
 }
 
@@ -335,11 +333,9 @@ peekType(const std::uint8_t *data, std::size_t size, MsgType &type)
     const std::uint8_t raw = r.u8();
     if (!r.ok() || magic != kWireMagic || version != kWireVersion)
         return false;
-    if (raw < static_cast<std::uint8_t>(MsgType::Hello) ||
-        raw > static_cast<std::uint8_t>(MsgType::StatsReport))
-        return false;
     type = static_cast<MsgType>(raw);
-    return true;
+    // Unknown and retired values have no name.
+    return std::strcmp(msgTypeName(type), "?") != 0;
 }
 
 // --------------------------------------------------------------------
@@ -404,7 +400,18 @@ readInterface(WireReader &in, const DncConfig &shard, InterfaceVector &iface)
     }
 }
 
-/** Hello/Rejoin shared handshake body. */
+/** Real arrays in a reply feed the merge: all must be finite. */
+void
+requireFinite(WireReader &in, const Real *values, Index count)
+{
+    for (Index i = 0; i < count; ++i)
+        if (!std::isfinite(values[i])) {
+            in.fail();
+            return;
+        }
+}
+
+/** Handshake body. */
 void
 putConfigBody(const WireConfig &config, WireWriter &out)
 {
@@ -422,6 +429,8 @@ putConfigBody(const WireConfig &config, WireWriter &out)
     out.putReal(config.linkageSkipThreshold);
     out.putReal(config.readSkipThreshold);
     out.putU8(config.denseSweep);
+    out.putU64(config.firstTile);
+    out.putU64(config.tiles);
 }
 
 void
@@ -441,6 +450,8 @@ readConfigBody(WireReader &in, WireConfig &config)
     config.linkageSkipThreshold = in.real();
     config.readSkipThreshold = in.real();
     config.denseSweep = in.u8();
+    config.firstTile = in.u64();
+    config.tiles = in.u64();
 }
 
 /** True when any of the row's `count` entries is nonzero. This — not
@@ -738,71 +749,6 @@ encodeHelloAck(const HelloAckMsg &msg, WireWriter &out)
 }
 
 void
-encodeStepSpan(std::uint64_t seq, bool wantWeightings,
-               std::uint32_t scoredMask, const InterfaceVector *ifaces,
-               Index count, WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::Step);
-    out.putU64(seq);
-    out.putU8(wantWeightings ? 1 : 0);
-    out.putU32(scoredMask);
-    out.putU8(0); // per-tile interfaces follow
-    out.putU32(static_cast<std::uint32_t>(count));
-    for (Index t = 0; t < count; ++t)
-        putInterface(ifaces[t], out);
-}
-
-void
-encodeStepBroadcast(std::uint64_t seq, bool wantWeightings,
-                    std::uint32_t scoredMask, const InterfaceVector &iface,
-                    Index count, WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::Step);
-    out.putU64(seq);
-    out.putU8(wantWeightings ? 1 : 0);
-    out.putU32(scoredMask);
-    out.putU8(1); // broadcast: one interface on the wire, count logical
-    out.putU32(static_cast<std::uint32_t>(count));
-    putInterface(iface, out);
-}
-
-void
-encodeStep(const StepMsg &msg, const DncConfig &shard, WireWriter &out)
-{
-    (void)shard; // shapes are implied by the handshake config
-    encodeStepSpan(msg.seq, msg.wantWeightings, msg.scoredMask,
-                   msg.ifaces.data(), msg.ifaces.size(), out);
-}
-
-void
-encodeStepReply(std::uint64_t seq, bool withWeightings,
-                const MemoryReadout *tiles, Index count,
-                const std::vector<Real> &confidence, const DncConfig &shard,
-                WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::StepReply);
-    out.putU64(seq);
-    out.putU8(withWeightings ? 1 : 0);
-    out.putU32(static_cast<std::uint32_t>(count));
-    const Index r = shard.readHeads;
-    for (Index t = 0; t < count; ++t) {
-        const MemoryReadout &readout = tiles[t];
-        for (Index h = 0; h < r; ++h)
-            out.putVector(readout.readVectors[h]);
-        for (Index h = 0; h < r; ++h)
-            out.putReal(confidence[t * r + h]);
-        if (withWeightings) {
-            for (Index h = 0; h < r; ++h)
-                out.putVector(readout.readWeightings[h]);
-            out.putVector(readout.writeWeighting);
-        }
-    }
-}
-
-void
 encodeLaneStep(std::uint64_t seq, bool wantWeightings,
                const LaneStepEntry *entries, Index count, WireWriter &out)
 {
@@ -812,9 +758,14 @@ encodeLaneStep(std::uint64_t seq, bool wantWeightings,
     out.putU8(wantWeightings ? 1 : 0);
     out.putU32(static_cast<std::uint32_t>(count));
     for (Index j = 0; j < count; ++j) {
-        out.putU32(entries[j].lane);
-        out.putU32(entries[j].scoredMask);
-        putInterface(*entries[j].iface, out);
+        const LaneStepEntry &e = entries[j];
+        out.putU32(e.lane);
+        out.putU32(e.scoredMask);
+        out.putU8(e.perTile != 0 ? 1 : 0);
+        if (e.perTile != 0)
+            out.putU32(static_cast<std::uint32_t>(e.perTile));
+        for (Index t = 0; t < std::max<Index>(e.perTile, 1); ++t)
+            putInterface(e.iface[t], out);
     }
 }
 
@@ -918,16 +869,6 @@ encodeRestore(std::uint64_t seq, const MemoryTileState *const *snapshots,
 }
 
 void
-encodeRejoin(const WireConfig &config, std::uint64_t firstTile,
-             WireWriter &out)
-{
-    out.clear();
-    out.header(MsgType::Rejoin);
-    putConfigBody(config, out);
-    out.putU64(firstTile);
-}
-
-void
 encodeStatsPull(std::uint64_t seq, WireWriter &out)
 {
     out.clear();
@@ -1005,71 +946,9 @@ decodeHelloAck(const std::uint8_t *data, std::size_t size, HelloAckMsg &msg)
 }
 
 bool
-decodeStep(const std::uint8_t *data, std::size_t size, const DncConfig &shard,
-           Index hostedTiles, StepMsg &msg)
-{
-    WireReader in(data, size);
-    in.header(MsgType::Step);
-    msg.seq = in.u64();
-    msg.wantWeightings = in.u8() != 0;
-    msg.scoredMask = in.u32();
-    const std::uint8_t broadcast = in.u8();
-    const std::uint32_t count = in.u32();
-    if (!in.ok() || broadcast > 1 || count != hostedTiles)
-        return false;
-    msg.ifaces.resize(hostedTiles);
-    if (broadcast) {
-        // One interface on the wire; expand to every hosted tile
-        // (same-shape copy assignments — no steady-state allocation).
-        readInterface(in, shard, msg.ifaces[0]);
-        for (Index t = 1; t < hostedTiles; ++t)
-            msg.ifaces[t] = msg.ifaces[0];
-    } else {
-        for (Index t = 0; t < hostedTiles; ++t)
-            readInterface(in, shard, msg.ifaces[t]);
-    }
-    return in.atEnd();
-}
-
-bool
-decodeStepReply(const std::uint8_t *data, std::size_t size,
-                const DncConfig &shard, Index hostedTiles, StepReplyMsg &msg)
-{
-    WireReader in(data, size);
-    in.header(MsgType::StepReply);
-    msg.seq = in.u64();
-    msg.hasWeightings = in.u8() != 0;
-    const std::uint32_t count = in.u32();
-    if (!in.ok() || count != hostedTiles)
-        return false;
-    const Index r = shard.readHeads;
-    const Index w = shard.memoryWidth;
-    const Index n = shard.memoryRows;
-    msg.tiles.resize(hostedTiles);
-    msg.confidence.resize(hostedTiles * r);
-    for (Index t = 0; t < hostedTiles; ++t) {
-        MemoryReadout &readout = msg.tiles[t];
-        readout.readVectors.resize(r);
-        for (Index h = 0; h < r; ++h)
-            in.vector(readout.readVectors[h], w);
-        for (Index h = 0; h < r; ++h)
-            msg.confidence[t * r + h] = in.real();
-        if (msg.hasWeightings) {
-            readout.readWeightings.resize(r);
-            for (Index h = 0; h < r; ++h)
-                in.vector(readout.readWeightings[h], n);
-            in.vector(readout.writeWeighting, n);
-        } else {
-            readout.readWeightings.clear();
-            readout.writeWeighting.resize(0);
-        }
-    }
-    return in.atEnd();
-}
-
-bool
 decodeLaneStep(const std::uint8_t *data, std::size_t size,
-               const DncConfig &shard, Index lanes, LaneStepMsg &msg)
+               const DncConfig &shard, Index lanes, Index tiles,
+               LaneStepMsg &msg)
 {
     WireReader in(data, size);
     in.header(MsgType::LaneStep);
@@ -1080,17 +959,32 @@ decodeLaneStep(const std::uint8_t *data, std::size_t size,
         return false;
     msg.lanes.resize(count);
     msg.masks.resize(count);
-    msg.ifaces.resize(count);
+    msg.perTile.resize(count);
+    msg.firstIface.resize(count);
+    std::uint32_t used = 0;
     for (Index j = 0; j < count; ++j) {
         msg.lanes[j] = in.u32();
         msg.masks[j] = in.u32();
+        msg.perTile[j] = in.u8();
         // Strictly increasing lane ids < lanes: no duplicates (a frame
         // stepping one lane twice would race on its tiles), no
         // out-of-range tile-set access.
         if (!in.ok() || msg.lanes[j] >= lanes ||
-            (j > 0 && msg.lanes[j] <= msg.lanes[j - 1]))
+            (j > 0 && msg.lanes[j] <= msg.lanes[j - 1]) ||
+            msg.perTile[j] > 1)
             return false;
-        readInterface(in, shard, msg.ifaces[j]);
+        // A per-tile entry names every global tile, exactly Nt of them.
+        const std::uint32_t n = msg.perTile[j] != 0 ? in.u32() : 1;
+        if (!in.ok() || (msg.perTile[j] != 0 && n != tiles))
+            return false;
+        msg.firstIface[j] = used;
+        // The pool only grows: shrinking would free the interfaces'
+        // buffers and the next larger frame would allocate them again.
+        if (msg.ifaces.size() < used + n)
+            msg.ifaces.resize(used + n);
+        for (std::uint32_t t = 0; t < n && in.ok(); ++t)
+            readInterface(in, shard, msg.ifaces[used + t]);
+        used += n;
     }
     return in.atEnd();
 }
@@ -1133,6 +1027,15 @@ decodeLaneStepReply(const std::uint8_t *data, std::size_t size,
                 readout.readWeightings.clear();
                 readout.writeWeighting.resize(0);
             }
+            if (!in.ok())
+                return false;
+            for (const Vector &v : readout.readVectors)
+                requireFinite(in, v.data(), v.size());
+            requireFinite(in, msg.confidence.data() + slot * r, r);
+            for (const Vector &v : readout.readWeightings)
+                requireFinite(in, v.data(), v.size());
+            requireFinite(in, readout.writeWeighting.data(),
+                          readout.writeWeighting.size());
         }
     }
     return in.atEnd();
@@ -1198,17 +1101,6 @@ decodeRestore(const std::uint8_t *data, std::size_t size,
 {
     return decodeSnapshotFrame(MsgType::Restore, data, size, shard,
                                snapshots, count, seq);
-}
-
-bool
-decodeRejoin(const std::uint8_t *data, std::size_t size, WireConfig &config,
-             std::uint64_t &firstTile)
-{
-    WireReader in(data, size);
-    in.header(MsgType::Rejoin);
-    readConfigBody(in, config);
-    firstTile = in.u64();
-    return in.atEnd();
 }
 
 bool

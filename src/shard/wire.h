@@ -5,8 +5,9 @@
  * length-prefixed framing.
  *
  * The protocol carries exactly the traffic the paper's tile arrangement
- * implies. Per step the coordinator scatters one interface vector per
- * tile and gathers each tile's R read vectors plus R confidence logits
+ * implies. Per step the coordinator scatters the step's interface
+ * vector (one broadcast, or one per tile for learned write sharding)
+ * and gathers each tile's R read vectors plus R confidence logits
  * (strength x best row cosine, computed tile-locally against the tile's
  * own memory) — so the *distributed* confidence merge needs only a
  * softmax over Nt gathered scalars per scored head, never the remote
@@ -35,27 +36,24 @@
  * attacker-sized allocation (tests/test_wire.cpp truncates and corrupts
  * frames byte by byte).
  *
- * Version 2 adds the pipelined serving surface: a `lanes` field in the
+ * Version 2 added the pipelined serving surface: a `lanes` field in the
  * handshake (a worker hosts `lanes x hostedTiles` independent tile
  * sets), a lane id on Control frames (admit/reset one lane without
  * touching the rest), and the lane-batched LaneStep/LaneStepReply pair
- * — one frame carries k lanes' broadcast interfaces per worker, the
- * reply carries k lanes' readouts + confidence logits, and sequence ids
- * correlate replies with requests so multiple frames can be in flight
- * per channel.
+ * — one frame carries k lanes' interfaces per worker, the reply carries
+ * k lanes' readouts + confidence logits, and sequence ids correlate
+ * replies with requests so multiple frames can be in flight per
+ * channel.
  *
- * Version 3 adds the fault-tolerance surface: CheckpointRequest pulls a
+ * Version 3 added the fault-tolerance surface: CheckpointRequest pulls a
  * CheckpointState frame carrying the complete recurrent state of every
  * hosted (lane, tile) pair — memory rows, the row-norm cache, usage,
  * linkage, precedence, and the previous write/read weightings, i.e.
- * exactly a MemoryTileState per tile — Restore pushes such a snapshot
- * back into a worker, and Rejoin is a Hello variant that re-attaches a
- * fresh worker process to an existing session with its tile assignment.
- * Shapes ride the handshake, not the frame, so checkpoint bodies are
- * raw Real arrays (one memcpy per field on LE hosts) and every decoder
- * stays fail-closed: a v2 peer is rejected at the header check, counts
- * are validated before any resize, truncation at any byte returns
- * false.
+ * exactly a MemoryTileState per tile — and Restore pushes such a
+ * snapshot back into a worker. Shapes ride the handshake, not the
+ * frame, so checkpoint bodies are raw Real arrays (one memcpy per field
+ * on LE hosts) and every decoder stays fail-closed: counts are
+ * validated before any resize, truncation at any byte returns false.
  *
  * Version 6 makes checkpoint traffic active-set sparse. Every tile
  * body now opens with an encoding byte and the linkage's monotone
@@ -75,6 +73,19 @@
  * encoding byte must be known, and truncation anywhere returns false.
  * The handshake grows the read-stage knobs (readSkipThreshold,
  * denseSweep) so coordinator and worker agree on the sparse datapath.
+ *
+ * Version 7 leaves one step frame on the wire. Each LaneStep entry opens
+ * with a tag byte: a broadcast entry carries one interface every hosted
+ * tile of its lane steps with; a per-tile entry carries exactly Nt
+ * global per-tile interfaces (learned write sharding), and the worker
+ * steps hosted tile i with interface firstTile + i. Every channel still
+ * receives identical bytes. Hello carries firstTile and the global tile
+ * count, so a Hello to a replacement worker is the re-attach handshake.
+ * The single-lane Step/StepReply pair and the separate re-attach frame
+ * are gone; the remaining message types keep their numeric values, and
+ * the retired values fail peekType(). LaneStepReply decoding rejects
+ * any non-finite Real: one NaN logit would otherwise poison a lane's
+ * merge softmax.
  */
 
 #ifndef HIMA_SHARD_WIRE_H
@@ -94,30 +105,27 @@ namespace hima {
 /** Protocol magic ("HM") — first two payload bytes of every message. */
 constexpr std::uint16_t kWireMagic = 0x484D;
 
-/** Protocol version; bumped on any layout change (v6: sparse
- * checkpoint/restore tile bodies + the read-stage handshake knobs). */
-constexpr std::uint8_t kWireVersion = 6;
+/** Protocol version; bumped on any layout change (v7: tagged LaneStep
+ * entries, Hello tile assignment, single-lane frames retired). */
+constexpr std::uint8_t kWireVersion = 7;
 
 /** Largest legal payload (guards framing against garbage lengths). */
 constexpr std::uint32_t kWireMaxFrameBytes = 64u << 20;
 
-/** Message types. */
+/** Message types (values 3, 4 and 14 are retired and rejected). */
 enum class MsgType : std::uint8_t
 {
-    Hello = 1,      ///< coordinator -> worker: config handshake
+    Hello = 1,      ///< coordinator -> worker: config + tile assignment
     HelloAck = 2,   ///< worker -> coordinator: accept/reject + detail
-    Step = 3,       ///< coordinator -> worker: per-tile interface vectors
-    StepReply = 4,  ///< worker -> coordinator: reads + confidence logits
     Control = 5,    ///< coordinator -> worker: episode reset / admit
     ControlAck = 6, ///< worker -> coordinator: control completed
     Shutdown = 7,   ///< coordinator -> worker: stop serving
     Error = 8,      ///< worker -> coordinator: protocol failure detail
-    LaneStep = 9,   ///< coordinator -> worker: k lanes' broadcast ifaces
+    LaneStep = 9,   ///< coordinator -> worker: k lanes' interfaces
     LaneStepReply = 10, ///< worker -> coordinator: k lanes' readouts
     CheckpointRequest = 11, ///< coordinator -> worker: pull all tile state
     CheckpointState = 12,   ///< worker -> coordinator: lane-major snapshots
     Restore = 13,           ///< coordinator -> worker: push tile snapshots
-    Rejoin = 14, ///< coordinator -> replacement worker: re-attach handshake
     StatsPull = 15,   ///< coordinator -> worker: scrape the telemetry registry
     StatsReport = 16, ///< worker -> coordinator: obs::Snapshot of the process
 };
@@ -145,6 +153,9 @@ enum class ControlKind : std::uint8_t
  * validates every field against what it can serve and constructs its
  * tiles from them, so coordinator and worker can never silently run
  * different shapes or datapaths (fixed point, skimming, softmax mode).
+ * The tile assignment (global tiles [firstTile, firstTile +
+ * hostedTiles) of `tiles`) rides along: per-tile LaneStep entries carry
+ * all Nt interfaces, and the worker picks its own slice by firstTile.
  */
 struct WireConfig
 {
@@ -162,10 +173,13 @@ struct WireConfig
     Real linkageSkipThreshold = 0.0;
     Real readSkipThreshold = 0.0;
     std::uint8_t denseSweep = 0; ///< forces dense sweeps + dense frames
+    std::uint64_t firstTile = 0; ///< first global tile hosted
+    std::uint64_t tiles = 0;     ///< global tile count Nt
 
-    /** Build from a per-shard DncConfig plus the hosted-tile count. */
-    static WireConfig fromShard(const DncConfig &shard, Index hostedTiles,
-                                Index lanes = 1);
+    /** Build from a per-shard DncConfig plus the tile assignment. */
+    static WireConfig fromShard(const DncConfig &shard, Index tiles,
+                                Index firstTile, Index hostedTiles,
+                                Index lanes);
 
     /** Reconstruct the per-shard DncConfig a worker should run. */
     DncConfig toShardConfig() const;
@@ -181,28 +195,6 @@ struct HelloAckMsg
     std::string message;           ///< failure detail when !ok
 };
 
-/** One scatter: interface vectors for every hosted tile. */
-struct StepMsg
-{
-    std::uint64_t seq = 0;
-    bool wantWeightings = false; ///< ship read/write weightings back too
-    std::uint32_t scoredMask = 0; ///< heads needing confidence logits
-    std::vector<InterfaceVector> ifaces; ///< one per hosted tile
-};
-
-/**
- * One gather: per hosted tile, the local MemoryReadout (read vectors
- * always; weightings only when requested) and R confidence logits
- * (zero for heads outside the request's scoredMask).
- */
-struct StepReplyMsg
-{
-    std::uint64_t seq = 0;
-    bool hasWeightings = false;
-    std::vector<MemoryReadout> tiles;
-    std::vector<Real> confidence; ///< hostedTiles x R, row-major
-};
-
 /** Episode control. */
 struct ControlMsg
 {
@@ -213,24 +205,27 @@ struct ControlMsg
 
 /**
  * One lane's slice of a lane-batched scatter: the lane id, the heads
- * needing fresh confidence logits, and the broadcast interface every
- * hosted tile of that lane steps with. Lane batching is broadcast-only
- * (the serving path's query pattern); learned per-tile write sharding
- * stays on the single-lane Step frame.
+ * needing fresh confidence logits, and the interfaces that lane's tiles
+ * step with — either one broadcast interface (perTile == 0, the serving
+ * path's query pattern) or `perTile` == Nt global per-tile interfaces
+ * at iface[0 .. Nt) (learned write sharding).
  */
 struct LaneStepEntry
 {
     std::uint32_t lane = 0;
     std::uint32_t scoredMask = 0;
     const InterfaceVector *iface = nullptr;
+    Index perTile = 0; ///< 0: broadcast; else Nt per-tile interfaces
 };
 
 /**
- * Decoded lane-batched scatter: `laneCount` parallel arrays. Buffers
- * resize in place, so a steady-state worker decode allocates nothing.
- * Lane ids are validated strictly increasing (and < the handshake's
- * lane count), which rules out duplicates — a frame stepping the same
- * lane twice would race on that lane's tiles.
+ * Decoded lane-batched scatter: per-entry parallel arrays plus one
+ * interface pool. Entry j's interfaces start at ifaces[firstIface[j]]
+ * (one when broadcast, Nt when perTile[j]); the pool only grows, so a
+ * steady-state worker decode allocates nothing. Lane ids are validated
+ * strictly increasing (and < the handshake's lane count), which rules
+ * out duplicates — a frame stepping the same lane twice would race on
+ * that lane's tiles.
  */
 struct LaneStepMsg
 {
@@ -238,7 +233,16 @@ struct LaneStepMsg
     bool wantWeightings = false;
     std::vector<std::uint32_t> lanes;
     std::vector<std::uint32_t> masks;
-    std::vector<InterfaceVector> ifaces; ///< one broadcast iface per lane
+    std::vector<std::uint8_t> perTile;     ///< entry tag (1 = per-tile)
+    std::vector<std::uint32_t> firstIface; ///< entry's first pool slot
+    std::vector<InterfaceVector> ifaces;   ///< grow-only interface pool
+
+    /** The interface global tile `tile` of entry j steps with. */
+    const InterfaceVector &
+    iface(Index j, Index tile) const
+    {
+        return ifaces[firstIface[j] + (perTile[j] != 0 ? tile : 0)];
+    }
 };
 
 /**
@@ -388,39 +392,12 @@ bool peekType(const std::uint8_t *data, std::size_t size, MsgType &type);
 
 void encodeHello(const WireConfig &config, WireWriter &out);
 void encodeHelloAck(const HelloAckMsg &msg, WireWriter &out);
-void encodeStep(const StepMsg &msg, const DncConfig &shard, WireWriter &out);
-
-/** Encode a Step from a contiguous span of per-tile interfaces. */
-void encodeStepSpan(std::uint64_t seq, bool wantWeightings,
-                    std::uint32_t scoredMask, const InterfaceVector *ifaces,
-                    Index count, WireWriter &out);
 
 /**
- * Encode a Step whose one interface broadcasts to `count` tiles: the
- * interface goes over the wire once (a broadcast flag in the frame) and
- * the worker expands it locally, so the serving scatter costs one
- * interface payload per worker instead of one per tile.
- */
-void encodeStepBroadcast(std::uint64_t seq, bool wantWeightings,
-                         std::uint32_t scoredMask,
-                         const InterfaceVector &iface, Index count,
-                         WireWriter &out);
-
-/**
- * Encode a StepReply straight from the first `count` entries of the
- * worker's per-tile readout scratch and its confidence scratch
- * (count x R, row-major) — no intermediate message object, no copies.
- * (The scratch may be larger than `count` on multi-lane workers, whose
- * legacy Step frames cover lane 0 only.)
- */
-void encodeStepReply(std::uint64_t seq, bool withWeightings,
-                     const MemoryReadout *tiles, Index count,
-                     const std::vector<Real> &confidence,
-                     const DncConfig &shard, WireWriter &out);
-/**
- * Encode a lane-batched Step: one frame carries `count` lanes'
- * broadcast interfaces (ordered by strictly increasing lane id). Each
- * hosted tile of entry j's lane steps with *entries[j].iface.
+ * Encode a lane-batched step: one frame carries `count` lane entries
+ * (ordered by strictly increasing lane id). Body per entry: [u32 lane]
+ * [u32 scoredMask] [u8 tag], then tag 0: one interface, or tag 1:
+ * [u32 Nt] and Nt per-tile interfaces.
  */
 void encodeLaneStep(std::uint64_t seq, bool wantWeightings,
                     const LaneStepEntry *entries, Index count,
@@ -493,36 +470,28 @@ void encodeStatsPull(std::uint64_t seq, WireWriter &out);
 void encodeStatsReport(std::uint64_t seq, const obs::Snapshot &snapshot,
                        WireWriter &out);
 
-/**
- * Re-attach handshake for a replacement worker: the Hello body plus the
- * first global tile index of its assignment (so operators can identify
- * the slice a worker serves). Answered by HelloAck like Hello.
- */
-void encodeRejoin(const WireConfig &config, std::uint64_t firstTile,
-                  WireWriter &out);
-
 // --- decoders (false on any malformed input; outputs resize in place) ---
 
 bool decodeHello(const std::uint8_t *data, std::size_t size,
                  WireConfig &config);
 bool decodeHelloAck(const std::uint8_t *data, std::size_t size,
                     HelloAckMsg &msg);
-bool decodeStep(const std::uint8_t *data, std::size_t size,
-                const DncConfig &shard, Index hostedTiles, StepMsg &msg);
-bool decodeStepReply(const std::uint8_t *data, std::size_t size,
-                     const DncConfig &shard, Index hostedTiles,
-                     StepReplyMsg &msg);
 /**
- * Decode a lane-batched Step. `lanes` is the worker's hosted lane
- * count from the handshake: frames naming more lanes than that, lane
- * ids out of range, or lane ids not strictly increasing are rejected.
+ * Decode a lane-batched step. `lanes` and `tiles` are the worker's
+ * hosted lane count and the global tile count from the handshake:
+ * frames naming more lanes than that, lane ids out of range or not
+ * strictly increasing, unknown entry tags, and per-tile entries whose
+ * interface count is not exactly `tiles` are rejected.
  */
 bool decodeLaneStep(const std::uint8_t *data, std::size_t size,
-                    const DncConfig &shard, Index lanes, LaneStepMsg &msg);
+                    const DncConfig &shard, Index lanes, Index tiles,
+                    LaneStepMsg &msg);
 
 /**
  * Decode a lane-batched reply. `maxLanes` bounds the declared lane
- * count (the coordinator knows how many lanes it scattered).
+ * count (the coordinator knows how many lanes it scattered). Every
+ * Real in the reply must be finite: the reply is a trust boundary, and
+ * one NaN logit would poison the lane's merge softmax.
  */
 bool decodeLaneStepReply(const std::uint8_t *data, std::size_t size,
                          const DncConfig &shard, Index hostedTiles,
@@ -555,9 +524,6 @@ bool decodeRestore(const std::uint8_t *data, std::size_t size,
                    const DncConfig &shard,
                    MemoryTileState *const *snapshots, Index count,
                    std::uint64_t &seq);
-
-bool decodeRejoin(const std::uint8_t *data, std::size_t size,
-                  WireConfig &config, std::uint64_t &firstTile);
 
 bool decodeStatsPull(const std::uint8_t *data, std::size_t size,
                      std::uint64_t &seq);

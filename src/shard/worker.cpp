@@ -16,19 +16,11 @@ ShardWorker::handleFrame(const std::uint8_t *data, std::size_t size,
     // Scripted fault: a dead worker never replies again, and serve()
     // exits so its socket closes — the coordinator observes exactly
     // what a crashed process would produce (silence, then EOF).
-    const bool isStepFrame =
-        type == MsgType::Step || type == MsgType::LaneStep;
-    if (fault_.dead() || fault_.onFrame(isStepFrame))
+    if (fault_.dead() || fault_.onFrame(type == MsgType::LaneStep))
         return false;
     switch (type) {
     case MsgType::Hello:
         handleHello(data, size, sink);
-        return true;
-    case MsgType::Rejoin:
-        handleRejoin(data, size, sink);
-        return true;
-    case MsgType::Step:
-        handleStep(data, size, sink);
         return true;
     case MsgType::LaneStep:
         handleLaneStep(data, size, sink);
@@ -93,36 +85,16 @@ void
 ShardWorker::handleHello(const std::uint8_t *data, std::size_t size,
                          FrameSink &sink)
 {
+    // A replacement worker gets the same Hello as a fresh one: it builds
+    // zeroed tiles (the t=0 state) and the coordinator follows up with
+    // Restore + replay as needed.
     WireConfig wire;
     HelloAckMsg ack;
     if (!decodeHello(data, size, wire)) {
         ack.ok = false;
         ack.message = "malformed Hello";
     } else {
-        firstGlobalTile_ = 0;
         applyConfig(wire, ack);
-    }
-    encodeHelloAck(ack, writer_);
-    sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
-}
-
-void
-ShardWorker::handleRejoin(const std::uint8_t *data, std::size_t size,
-                          FrameSink &sink)
-{
-    // Identical to Hello except for the tile-assignment record: the
-    // replacement worker starts from zeroed tiles (the t=0 state) and
-    // the coordinator follows up with Restore + replay as needed.
-    WireConfig wire;
-    std::uint64_t firstTile = 0;
-    HelloAckMsg ack;
-    if (!decodeRejoin(data, size, wire, firstTile)) {
-        ack.ok = false;
-        ack.message = "malformed Rejoin";
-    } else {
-        applyConfig(wire, ack);
-        if (ack.ok)
-            firstGlobalTile_ = firstTile;
     }
     encodeHelloAck(ack, writer_);
     sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
@@ -134,6 +106,13 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
     if (wire.hostedTiles == 0) {
         ack.ok = false;
         ack.message = "zero hosted tiles";
+    } else if (wire.tiles == 0 || wire.tiles > 1024 ||
+               wire.firstTile > wire.tiles ||
+               wire.hostedTiles > wire.tiles - wire.firstTile) {
+        // Same cap as hostedTiles: per-tile LaneStep entries carry Nt
+        // interfaces, so Nt bounds what a step frame may decode into.
+        ack.ok = false;
+        ack.message = "tile assignment outside the global tile count";
     } else if (wire.memoryRows == 0 || wire.memoryWidth == 0 ||
                wire.readHeads == 0 || wire.readHeads > 32 ||
                wire.numThreads == 0 ||
@@ -175,6 +154,8 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
     } else {
         shardConfig_ = wire.toShardConfig();
         hostedTiles_ = static_cast<Index>(wire.hostedTiles);
+        firstGlobalTile_ = static_cast<Index>(wire.firstTile);
+        globalTiles_ = static_cast<Index>(wire.tiles);
         lanes_ = static_cast<Index>(wire.lanes);
         tiles_.clear();
         for (Index t = 0; t < lanes_ * hostedTiles_; ++t)
@@ -185,7 +166,6 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
         pool_.reset();
         if (shardConfig_.numThreads > 1 && tiles_.size() > 1)
             pool_ = std::make_unique<ThreadPool>(shardConfig_.numThreads);
-        stepTask_ = nullptr;
         laneStepTask_ = nullptr;
         stepsServed_ = 0;
         episodesServed_ = 0;
@@ -255,50 +235,6 @@ ShardWorker::forEach(Index count, const std::function<void(Index)> &fn)
 }
 
 void
-ShardWorker::handleStep(const std::uint8_t *data, std::size_t size,
-                        FrameSink &sink)
-{
-    if (!configured()) {
-        sendError("Step before Hello", sink);
-        return;
-    }
-    if (!decodeStep(data, size, shardConfig_, hostedTiles_, step_)) {
-        sendError("malformed Step", sink);
-        return;
-    }
-
-    // The full local pipeline per tile (lane 0's tile set), plus the
-    // confidence logits the coordinator flagged. Keys broadcast, so the
-    // first hosted tile's interface carries the scoring keys (same
-    // convention as DncD).
-    if (!stepTask_) {
-        stepTask_ = [this](Index t) {
-            tiles_[t]->stepInto(step_.ifaces[t], readouts_[t]);
-            const Index heads = shardConfig_.readHeads;
-            for (Index h = 0; h < heads; ++h) {
-                confidence_[t * heads + h] =
-                    (step_.scoredMask >> h & 1u)
-                        ? tileConfidenceScore(*tiles_[t],
-                                              step_.ifaces[0].readKeys[h],
-                                              step_.ifaces[0].readStrengths[h])
-                        : 0.0;
-            }
-        };
-    }
-    forEach(hostedTiles_, stepTask_);
-    ++stepsServed_;
-
-    // Only lane 0's hostedTiles_ scratch slots were stepped; the
-    // scratch itself is sized for full lane-batched frames. The scope
-    // writes the readouts in place on zero-copy transports.
-    FrameScope reply(sink, writer_);
-    encodeStepReply(step_.seq, step_.wantWeightings, readouts_.data(),
-                    hostedTiles_, confidence_, shardConfig_,
-                    reply.writer());
-    reply.commit();
-}
-
-void
 ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
                             FrameSink &sink)
 {
@@ -306,24 +242,28 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
         sendError("LaneStep before Hello", sink);
         return;
     }
-    if (!decodeLaneStep(data, size, shardConfig_, lanes_, laneStep_)) {
+    if (!decodeLaneStep(data, size, shardConfig_, lanes_, globalTiles_,
+                        laneStep_)) {
         sendError("malformed LaneStep", sink);
         return;
     }
 
     // All named lanes' hosted tiles in one dispatch: frame slot
-    // j * hostedTiles + i maps to tile i of lane lanes[j]. Lanes are
-    // independent tile sets, so any pool schedule is bit-identical to
-    // sequential execution.
+    // j * hostedTiles + i maps to tile i of lane lanes[j], which steps
+    // with global tile firstTile + i's interface. Lanes are independent
+    // tile sets, so any pool schedule is bit-identical to sequential
+    // execution. Read keys broadcast, so each tile scores confidence
+    // with its own interface's keys.
     const Index frameLanes = laneStep_.lanes.size();
     const Index slots = frameLanes * hostedTiles_; // <= readouts_.size()
     if (!laneStepTask_) {
         laneStepTask_ = [this](Index slot) {
             const Index j = slot / hostedTiles_;
             const Index lane = laneStep_.lanes[j];
-            MemoryUnit &tile =
-                *tiles_[lane * hostedTiles_ + slot % hostedTiles_];
-            const InterfaceVector &iface = laneStep_.ifaces[j];
+            const Index i = slot % hostedTiles_;
+            MemoryUnit &tile = *tiles_[lane * hostedTiles_ + i];
+            const InterfaceVector &iface =
+                laneStep_.iface(j, firstGlobalTile_ + i);
             tile.stepInto(iface, readouts_[slot]);
             const Index heads = shardConfig_.readHeads;
             for (Index h = 0; h < heads; ++h) {

@@ -4,40 +4,36 @@
  * tiles, driven entirely by wire frames.
  *
  * A worker is passive until a Hello configures it (shapes + datapath
- * validated, tiles constructed). Each Step frame then runs the full
- * local soft write + soft read pipeline on every hosted tile — the
- * exact MemoryUnit::stepInto() hot path the in-process engines use,
- * zero-allocation in steady state — and computes the confidence logits
- * for the heads the coordinator flagged, so the reply carries R read
- * vectors + R logits per tile and the merge never needs remote memory
- * contents. Multiple hosted tiles step on a local thread pool when the
- * handshake config asks for one (numThreads > 1), bit-identically to
- * sequential execution because tiles share no state.
- *
- * Serving fleets host multiple *lanes*: the handshake's `lanes` field
- * makes the worker construct lanes x hostedTiles independent tile sets
- * (lane-major). A LaneStep frame steps any subset of lanes in one round
- * trip — each named lane's hosted tiles run with that lane's broadcast
- * interface, all (lane, tile) pairs sharing one pool dispatch — and a
- * per-lane Control admits/resets one lane without touching the rest.
- * The legacy single-lane Step frame operates on lane 0.
+ * validated, tiles constructed, tile assignment recorded). The
+ * handshake's `lanes` field makes the worker construct lanes x
+ * hostedTiles independent tile sets (lane-major). A LaneStep frame
+ * steps any subset of lanes in one round trip: each named lane's hosted
+ * tiles run the full local soft write + soft read pipeline — the exact
+ * MemoryUnit::stepInto() hot path the in-process engines use,
+ * zero-allocation in steady state — with that lane's broadcast
+ * interface or, for a per-tile entry, with their own global tile's
+ * interface. The worker also computes the confidence logits for the
+ * heads the coordinator flagged, so the reply carries R read vectors +
+ * R logits per tile and the merge never needs remote memory contents.
+ * All (lane, tile) pairs share one pool dispatch when the handshake
+ * asks for threads (numThreads > 1), bit-identically to sequential
+ * execution because tiles share no state. A per-lane Control
+ * admits/resets one lane without touching the rest.
  *
  * The same handleFrame() core serves both transports: LoopbackChannel
  * calls it synchronously (deterministic tests), serve() wraps it in a
  * blocking event loop over a socket channel (examples/
  * shard_worker_main.cpp runs that loop as a standalone process).
  *
- * Wire v3 adds the fault-tolerance surface: CheckpointRequest streams
- * every hosted tile's complete recurrent state back (encoded straight
- * from the live MemoryUnits — no snapshot copy, no steady-state
- * allocation), Restore overwrites all hosted tile state from a
- * coordinator-held snapshot (acked with ControlAck), and Rejoin lets a
- * *fresh* worker process take over a lost worker's assignment: it
- * carries the Hello body plus the first global tile index, and the
- * worker builds zeroed tiles exactly like Hello — the coordinator then
- * Restores and replays. injectFault() arms the deterministic
- * kill/drop/delay harness tests and the bench use to script worker
- * death.
+ * The fault-tolerance surface: CheckpointRequest streams every hosted
+ * tile's complete recurrent state back (encoded straight from the live
+ * MemoryUnits — no snapshot copy, no steady-state allocation), and
+ * Restore overwrites all hosted tile state from a coordinator-held
+ * snapshot (acked with ControlAck). A *fresh* worker process takes over
+ * a lost worker's assignment through a plain Hello (which carries the
+ * tile assignment); the coordinator then Restores and replays.
+ * injectFault() arms the deterministic kill/drop/delay harness tests
+ * and the bench use to script worker death.
  */
 
 #ifndef HIMA_SHARD_WORKER_H
@@ -79,9 +75,6 @@ class ShardWorker
     Index lanes() const { return lanes_; }
     const DncConfig &shardConfig() const { return shardConfig_; }
 
-    /** Lane 0's hosted tile state (single-lane deployments/tests). */
-    const MemoryUnit &tile(Index i) const { return *tiles_[i]; }
-
     /** Hosted tile i of `lane` (tests compare against in-process). */
     const MemoryUnit &
     laneTile(Index lane, Index i) const
@@ -95,8 +88,11 @@ class ShardWorker
     /** Admit controls received (episodes started on this worker). */
     std::uint64_t episodesServed() const { return episodesServed_; }
 
-    /** First global tile of a Rejoin assignment (0 for plain Hello). */
-    std::uint64_t firstGlobalTile() const { return firstGlobalTile_; }
+    /** First global tile of the Hello's assignment. */
+    Index firstGlobalTile() const { return firstGlobalTile_; }
+
+    /** Global tile count Nt from the Hello. */
+    Index globalTiles() const { return globalTiles_; }
 
     /**
      * Arm the deterministic fault harness: the worker stops responding
@@ -110,8 +106,6 @@ class ShardWorker
   private:
     void handleHello(const std::uint8_t *data, std::size_t size,
                      FrameSink &sink);
-    void handleRejoin(const std::uint8_t *data, std::size_t size,
-                      FrameSink &sink);
     void handleCheckpointRequest(const std::uint8_t *data, std::size_t size,
                                  FrameSink &sink);
     void handleRestore(const std::uint8_t *data, std::size_t size,
@@ -119,10 +113,8 @@ class ShardWorker
     void handleStatsPull(const std::uint8_t *data, std::size_t size,
                          FrameSink &sink);
 
-    /** Shared Hello/Rejoin body: validate + build tiles, fill the ack. */
+    /** Validate + build tiles, fill the ack. */
     void applyConfig(const WireConfig &wire, HelloAckMsg &ack);
-    void handleStep(const std::uint8_t *data, std::size_t size,
-                    FrameSink &sink);
     void handleLaneStep(const std::uint8_t *data, std::size_t size,
                         FrameSink &sink);
     void handleControl(const std::uint8_t *data, std::size_t size,
@@ -134,19 +126,19 @@ class ShardWorker
 
     DncConfig shardConfig_;
     Index hostedTiles_ = 0; ///< tiles per lane
+    Index firstGlobalTile_ = 0;
+    Index globalTiles_ = 0;
     Index lanes_ = 1;
     std::vector<std::unique_ptr<MemoryUnit>> tiles_; ///< lane-major
     std::unique_ptr<ThreadPool> pool_; ///< when numThreads > 1, tiles > 1
 
     // Reused per-frame state: the steady-state serve loop touches no
     // heap (decode resizes into warm buffers, encode reuses writer_).
-    StepMsg step_;
     LaneStepMsg laneStep_;
     std::vector<MemoryReadout> readouts_; ///< frame slots, lane-major
     std::vector<Real> confidence_; ///< frame slots x R, row-major
     WireWriter writer_;
-    std::function<void(Index)> stepTask_;     ///< prebuilt pool task
-    std::function<void(Index)> laneStepTask_; ///< lane-batched pool task
+    std::function<void(Index)> laneStepTask_; ///< prebuilt pool task
     std::vector<std::uint8_t> frame_;         ///< serve() recv buffer
 
     // Restore decodes into these scratch snapshots, then commits into
@@ -156,7 +148,6 @@ class ShardWorker
     std::vector<MemoryTileState *> restorePtrs_;
 
     FaultInjector fault_;
-    std::uint64_t firstGlobalTile_ = 0;
     obs::Snapshot statsScratch_; ///< StatsPull reply staging
 
     std::uint64_t stepsServed_ = 0;

@@ -114,8 +114,8 @@ EpisodeResult runEpisode(Dnc &model, const InterfaceScripter &scripter,
                          const Episode &episode);
 
 /**
- * Run an episode on a sharded tile memory (in-process DncD or the
- * wire-connected ShardCoordinator — any TileMemory). Writes are routed
+ * Run an episode on a sharded tile memory (in-process DncD or one lane
+ * of a wire-connected ShardLaneGroup — any TileMemory). Writes are routed
  * to tile keyToken % Nt by masking the write gate on all other tiles
  * (the trained LSTM's learned sharding, Sec. 5.1); queries broadcast to
  * every tile and the merged read vector is scored.

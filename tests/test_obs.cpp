@@ -704,17 +704,19 @@ TEST_P(FleetScrape, AggregatesWorkerRegistries)
     cfg.readHeads = 2;
     const Index tiles = 2;
     const Index workers = 2;
-    LocalShardCluster cluster =
-        makeLocalCluster(GetParam(), cfg, tiles, workers);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        GetParam(), cfg, tiles, /*lanes=*/1, workers);
+    ShardLaneGroup &group = *cluster.group;
 
     Rng rng(5);
     const int kSteps = 3;
+    MemoryReadout out;
     for (int i = 0; i < kSteps; ++i)
-        cluster.coordinator->stepInterface(golden::randomIface(cfg, rng));
+        group.stepLaneInto(0, golden::randomIface(cfg, rng), out);
 
     std::vector<obs::Snapshot> perWorker;
     obs::Snapshot fleet;
-    cluster.coordinator->scrapeWorkers(perWorker, fleet);
+    group.scrapeWorkers(perWorker, fleet);
 
     ASSERT_EQ(perWorker.size(), workers);
     for (const obs::Snapshot &report : perWorker) {
@@ -736,7 +738,7 @@ TEST_P(FleetScrape, AggregatesWorkerRegistries)
     EXPECT_TRUE(sawWireTx);
 
     // A second scrape still answers (seq advances, transport stays up).
-    cluster.coordinator->scrapeWorkers(perWorker, fleet);
+    group.scrapeWorkers(perWorker, fleet);
     EXPECT_EQ(fleet.find("worker.steps_served")->counter,
               static_cast<std::uint64_t>(workers * kSteps));
 }

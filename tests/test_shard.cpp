@@ -1,19 +1,21 @@
 /**
  * @file
- * Sharded DNC-D golden proof: a coordinator driving worker-hosted tiles
- * over a real wire protocol is bit-identical *per step* to the
+ * Sharded DNC-D golden proof: a ShardLaneGroup driving worker-hosted
+ * tiles over a real wire protocol is bit-identical *per step* to the
  * in-process DncD with the same config — read vectors, global-view
  * weightings, and the confidence-merge alphas — across
  * transports {loopback, unix socket, tcp, shm} x tiles {2, 4} x
- * worker threads {1, 4} x {float, fixed}, through per-tile write
- * gating, history-mode reads, and mid-stream episode resets.
+ * worker threads {1, 4} x {float, fixed} x lanes {1, 2}, through
+ * per-tile write gating, history-mode reads, and mid-stream episode
+ * resets.
  *
  * Also here: worker protocol edge cases (reject-before-hello, config
- * validation, malformed frames answered with Error), the serving stack
- * (ShardedDnc over a coordinator == ShardedDnc over DncD; Router on a
- * ShardedLaneEngine == dedicated reference runs), the retrieval
- * workload through the wire, and the zero-allocation steady state of a
- * loopback worker round trip (operator-new hook).
+ * and tile-assignment validation, malformed frames answered with
+ * Error), the serving stack (ShardedDnc over a lane view == ShardedDnc
+ * over DncD; Router on the pipelined engine == dedicated reference
+ * runs), the retrieval workload through the wire, and the
+ * zero-allocation steady state of a loopback worker round trip
+ * (operator-new hook).
  */
 
 #include <atomic>
@@ -157,8 +159,7 @@ expectReadoutIdentical(const MemoryReadout &ref, const MemoryReadout &got,
 }
 
 void
-expectAlphasIdentical(const DncD &ref, const ShardCoordinator &got,
-                      int step)
+expectAlphasIdentical(const DncD &ref, const TileMemory &got, int step)
 {
     SCOPED_TRACE(::testing::Message() << "step " << step);
     ASSERT_EQ(ref.lastAlphas().size(), got.lastAlphas().size());
@@ -176,28 +177,40 @@ expectAlphasIdentical(const DncD &ref, const ShardCoordinator &got,
 
 class ShardGolden
     : public ::testing::TestWithParam<
-          std::tuple<ClusterTransport, int, int, bool>>
+          std::tuple<ClusterTransport, int, int, bool, int>>
 {};
 
 TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
 {
-    const auto [transport, tiles, threads, fixedPoint] = GetParam();
+    const auto [transport, tiles, threads, fixedPoint, lanes] = GetParam();
     const DncConfig cfg = gridConfig(tiles, threads, fixedPoint);
     const Index workerCount = 2; // exercises multi-tile workers at Nt=4
 
-    LocalShardCluster stack =
-        makeLocalCluster(transport, cfg, tiles, workerCount);
-    ASSERT_TRUE(stack.coordinator != nullptr);
-    DncD ref(cfg, tiles);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        transport, cfg, tiles, lanes, workerCount, MergePolicy::Confidence,
+        /*wantWeightings=*/true);
+    ASSERT_TRUE(cluster.group != nullptr);
+    std::vector<std::unique_ptr<TileMemory>> views;
+    std::vector<std::unique_ptr<DncD>> refs;
+    for (int lane = 0; lane < lanes; ++lane) {
+        views.push_back(cluster.group->laneMemory(lane));
+        refs.push_back(std::make_unique<DncD>(cfg, tiles));
+    }
+    // The golden stream runs on the last lane; with two lanes, lane 0
+    // interleaves independent broadcast traffic, so a cross-lane mixup
+    // surfaces as divergence on either.
+    TileMemory &view = *views.back();
+    DncD &ref = *refs.back();
 
     Rng rng(305 + tiles);
+    Rng neighbour(911 + tiles);
     std::vector<InterfaceVector> perTile(tiles);
     constexpr int kSteps = 18;
     for (int step = 0; step < kSteps; ++step) {
         if (step == 12) {
             // Mid-stream episode boundary crosses the control path.
             ref.reset();
-            stack.coordinator->reset();
+            view.reset();
         }
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         if (step % 3 == 2) {
@@ -209,15 +222,22 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
                     perTile[t].writeGate = 0.0;
             }
             const MemoryReadout a = ref.stepInterfaces(perTile);
-            const MemoryReadout b =
-                stack.coordinator->stepInterfaces(perTile);
+            const MemoryReadout b = view.stepInterfaces(perTile);
             expectReadoutIdentical(a, b, step);
         } else {
             const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = stack.coordinator->stepInterface(iface);
+            const MemoryReadout b = view.stepInterface(iface);
             expectReadoutIdentical(a, b, step);
         }
-        expectAlphasIdentical(ref, *stack.coordinator, step);
+        expectAlphasIdentical(ref, view, step);
+        if (lanes > 1) {
+            const InterfaceVector other =
+                golden::randomIface(cfg, neighbour);
+            const MemoryReadout a = refs[0]->stepInterface(other);
+            const MemoryReadout b = views[0]->stepInterface(other);
+            expectReadoutIdentical(a, b, step);
+            expectAlphasIdentical(*refs[0], *views[0], step);
+        }
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -225,19 +245,22 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
     // Loopback keeps worker handles: the hosted tile state itself must
     // equal the in-process shards, not just the merged outputs.
     if (transport == ClusterTransport::Loopback) {
-        Index global = 0;
-        for (const auto &worker : stack.workers) {
-            for (Index i = 0; i < worker->hostedTiles(); ++i, ++global) {
-                SCOPED_TRACE(::testing::Message() << "tile " << global);
-                EXPECT_TRUE(worker->tile(i).memory() ==
-                            ref.shard(global).memory());
-                EXPECT_TRUE(worker->tile(i).usage() ==
-                            ref.shard(global).usage());
-                EXPECT_TRUE(worker->tile(i).rowNorms() ==
-                            ref.shard(global).rowNorms());
+        for (int lane = 0; lane < lanes; ++lane) {
+            Index global = 0;
+            for (const auto &worker : cluster.workers) {
+                for (Index i = 0; i < worker->hostedTiles();
+                     ++i, ++global) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "lane " << lane << " tile " << global);
+                    const MemoryUnit &tile = worker->laneTile(lane, i);
+                    const MemoryUnit &want = refs[lane]->shard(global);
+                    EXPECT_TRUE(tile.memory() == want.memory());
+                    EXPECT_TRUE(tile.usage() == want.usage());
+                    EXPECT_TRUE(tile.rowNorms() == want.rowNorms());
+                }
             }
+            EXPECT_EQ(global, static_cast<Index>(tiles));
         }
-        EXPECT_EQ(global, static_cast<Index>(tiles));
     }
 }
 
@@ -248,12 +271,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          ClusterTransport::Tcp,
                                          ClusterTransport::Shm),
                        ::testing::Values(2, 4), ::testing::Values(1, 4),
-                       ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(1, 2)),
     [](const auto &info) {
+        // One-lane cases keep their pre-lanes-axis names.
         return std::string(transportName(std::get<0>(info.param))) +
                "Nt" + std::to_string(std::get<1>(info.param)) + "T" +
                std::to_string(std::get<2>(info.param)) +
-               (std::get<3>(info.param) ? "Fixed" : "Float");
+               (std::get<3>(info.param) ? "Fixed" : "Float") +
+               (std::get<4>(info.param) > 1 ? "L2" : "");
     });
 
 // --------------------------------------------------------------------
@@ -376,20 +401,8 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(shape.lanesPerBatch);
     });
 
-// An out-of-range slot is a caller bug on both shard engines: it must
-// die with a diagnosis instead of writing past the lane-state arrays.
-TEST(LaneEngineSlotDeathTest, ShardedLaneEngineRejectsOutOfRangeSlots)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    DncConfig cfg = gridConfig(2, 1, false);
-    cfg.batchSize = 2;
-    ShardedLaneEngine engine(cfg, 7, [&cfg](Index) {
-        return std::make_unique<DncD>(cfg, 2);
-    });
-    EXPECT_DEATH(engine.markDraining(2), "markDraining: slot 2 >= 2");
-    EXPECT_DEATH(engine.release(5), "release: slot 5 >= 2");
-}
-
+// An out-of-range slot is a caller bug: it must die with a diagnosis
+// instead of writing past the lane-state arrays.
 TEST(LaneEngineSlotDeathTest, PipelinedEngineRejectsOutOfRangeSlots)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -400,66 +413,6 @@ TEST(LaneEngineSlotDeathTest, PipelinedEngineRejectsOutOfRangeSlots)
     PipelinedShardedLaneEngine engine(cfg, 7, cluster.group);
     EXPECT_DEATH(engine.markDraining(2), "markDraining: slot 2 >= 2");
     EXPECT_DEATH(engine.release(9), "release: slot 9 >= 2");
-}
-
-// A lane of a shared fleet behind the TileMemory view: merged
-// readouts, alphas and the raw hosted tile state all equal the
-// in-process DncD, for every lane independently.
-TEST(ShardLaneGroupGolden, LaneViewsMatchInProcessDncDIncludingTileState)
-{
-    const Index tiles = 4;
-    const Index lanes = 2;
-    const DncConfig cfg = gridConfig(tiles, 1, false);
-    LocalLaneCluster cluster = makeLocalLaneCluster(
-        ClusterTransport::Loopback, cfg, tiles, lanes, /*workerCount=*/2,
-        MergePolicy::Confidence, /*wantWeightings=*/true);
-
-    std::vector<std::unique_ptr<TileMemory>> views;
-    std::vector<std::unique_ptr<DncD>> refs;
-    for (Index lane = 0; lane < lanes; ++lane) {
-        views.push_back(cluster.group->laneMemory(lane));
-        refs.push_back(std::make_unique<DncD>(cfg, tiles));
-    }
-
-    Rng rng(902);
-    for (int step = 0; step < 12; ++step) {
-        if (step == 7) {
-            // Per-lane reset: lane 0 restarts, lane 1 keeps its state.
-            views[0]->reset();
-            refs[0]->reset();
-        }
-        for (Index lane = 0; lane < lanes; ++lane) {
-            SCOPED_TRACE(::testing::Message()
-                         << "lane " << lane << " step " << step);
-            // Distinct traffic per lane: divergence would surface as a
-            // cross-lane mixup.
-            const InterfaceVector iface = golden::randomIface(cfg, rng);
-            const MemoryReadout a = refs[lane]->stepInterface(iface);
-            const MemoryReadout b = views[lane]->stepInterface(iface);
-            expectReadoutIdentical(a, b, step);
-            ASSERT_EQ(refs[lane]->lastAlphas().size(),
-                      views[lane]->lastAlphas().size());
-            for (Index h = 0; h < refs[lane]->lastAlphas().size(); ++h)
-                EXPECT_EQ(refs[lane]->lastAlphas()[h],
-                          views[lane]->lastAlphas()[h]);
-        }
-    }
-
-    // The hosted per-lane tile state itself equals the references'.
-    for (Index lane = 0; lane < lanes; ++lane) {
-        Index global = 0;
-        for (const auto &worker : cluster.workers) {
-            for (Index i = 0; i < worker->hostedTiles(); ++i, ++global) {
-                SCOPED_TRACE(::testing::Message()
-                             << "lane " << lane << " tile " << global);
-                EXPECT_TRUE(worker->laneTile(lane, i).memory() ==
-                            refs[lane]->shard(global).memory());
-                EXPECT_TRUE(worker->laneTile(lane, i).usage() ==
-                            refs[lane]->shard(global).usage());
-            }
-        }
-        EXPECT_EQ(global, tiles);
-    }
 }
 
 // The double-buffered window itself: two disjoint batches in flight at
@@ -512,8 +465,9 @@ TEST(ShardWorkload, RetrievalEpisodeMatchesInProcessExactly)
     DncConfig cfg = gridConfig(4, 1, false);
     cfg.memoryWidth = 16; // even split into key/value halves
     DncD ref(cfg, 4);
-    LocalShardCluster stack =
-        makeLocalCluster(ClusterTransport::Loopback, cfg, 4, 2);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, 4, /*lanes=*/1, 2);
+    const std::unique_ptr<TileMemory> wire = cluster.group->laneMemory(0);
 
     TokenCodebook keys(32, cfg.memoryWidth / 2, 1);
     TokenCodebook values(32, cfg.memoryWidth / 2, 2);
@@ -525,7 +479,7 @@ TEST(ShardWorkload, RetrievalEpisodeMatchesInProcessExactly)
         const Episode ep = makeEpisode(suite[t], 32, rng);
         const EpisodeResult a = runEpisodeDistributed(ref, scripter, ep);
         const EpisodeResult b =
-            runEpisodeDistributed(*stack.coordinator, scripter, ep);
+            runEpisodeDistributed(*wire, scripter, ep);
         EXPECT_EQ(a.scored, b.scored);
         EXPECT_EQ(a.correct, b.correct) << "wire run answered differently";
         EXPECT_EQ(a.meanScore, b.meanScore);
@@ -549,22 +503,13 @@ serveCfg()
     return cfg;
 }
 
-std::unique_ptr<TileMemory>
-loopbackBackend(const DncConfig &cfg, Index tiles, Index workers)
-{
-    LoopbackShard stack =
-        makeLoopbackShard(cfg, tiles, workers, MergePolicy::Confidence,
-                          /*wantWeightings=*/false);
-    // The workers live in the channel closures; only the coordinator
-    // handle needs to escape.
-    return std::move(stack.coordinator);
-}
-
 TEST(ShardedDnc, WireBackendMatchesInProcessBackend)
 {
     const DncConfig cfg = serveCfg();
     const Index tiles = 4;
-    ShardedDnc wire(cfg, 3, loopbackBackend(cfg, tiles, 2));
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, tiles, /*lanes=*/1, 2);
+    ShardedDnc wire(cfg, 3, cluster.group->laneMemory(0));
     ShardedDnc local(cfg, 3, std::make_unique<DncD>(cfg, tiles));
 
     Rng rng(505);
@@ -578,57 +523,6 @@ TEST(ShardedDnc, WireBackendMatchesInProcessBackend)
         const Vector b = wire.step(input);
         ASSERT_TRUE(a == b) << "controller outputs diverged at step "
                             << step;
-    }
-}
-
-TEST(ShardedRouter, RoutedRequestsMatchDedicatedShardedRuns)
-{
-    DncConfig cfg = serveCfg();
-    cfg.batchSize = 3;
-    const Index tiles = 2;
-    constexpr std::uint64_t kSeed = 11;
-
-    auto engine = std::make_unique<ShardedLaneEngine>(
-        cfg, kSeed, [&cfg](Index) {
-            return loopbackBackend(cfg, tiles, 1);
-        });
-    Router router(std::move(engine));
-
-    ArrivalSpec spec;
-    spec.kind = ArrivalKind::Bursty;
-    spec.rate = 0.1;
-    spec.burstProbability = 0.2;
-    spec.burstSize = 4; // bursts exceed 3 lanes: queueing + admit churn
-    Rng traceRng(61);
-    const auto trace = makeArrivalTrace(spec, 20, traceRng);
-    ASSERT_FALSE(trace.empty());
-
-    std::size_t next = 0;
-    while (next < trace.size()) {
-        while (next < trace.size() && trace[next].step <= router.now()) {
-            ServeRequest request;
-            request.id = trace[next].ordinal;
-            request.tokens = requestTokens(trace[next], cfg.inputSize, 67);
-            ASSERT_TRUE(router.submit(std::move(request)));
-            ++next;
-        }
-        router.step();
-    }
-    router.drain();
-    ASSERT_EQ(router.completed().size(), trace.size());
-
-    // Reference: a dedicated sharded model (in-process backend — already
-    // proven equal to the wire backend above) per request.
-    ShardedDnc ref(cfg, kSeed, std::make_unique<DncD>(cfg, tiles));
-    for (const ServeResult &result : router.completed()) {
-        SCOPED_TRACE(::testing::Message() << "request " << result.id);
-        const auto tokens =
-            requestTokens(trace[result.id], cfg.inputSize, 67);
-        ASSERT_EQ(result.outputs.size(), tokens.size());
-        ref.reset();
-        for (Index t = 0; t < tokens.size(); ++t)
-            ASSERT_TRUE(ref.step(tokens[t]) == result.outputs[t])
-                << "output " << t << " diverged";
     }
 }
 
@@ -737,7 +631,7 @@ TEST(ShardRecvTimeoutDeath, DeadWorkerFailsTheStepWithADiagnosis)
                 if (chan && chan->recvFrame(frame)) // Hello
                     worker.handleFrame(frame.data(), frame.size(), *chan);
                 while (chan && chan->recvFrame(frame)) {
-                    // swallow Steps silently, forever
+                    // swallow LaneSteps silently, forever
                 }
             });
             wedged.detach();
@@ -746,10 +640,12 @@ TEST(ShardRecvTimeoutDeath, DeadWorkerFailsTheStepWithADiagnosis)
             client->setRecvTimeout(100);
             std::vector<std::unique_ptr<Channel>> channels;
             channels.push_back(std::move(client));
-            ShardCoordinator coordinator(cfg, 2, MergePolicy::Confidence,
-                                         std::move(channels));
+            ShardLaneGroup group(cfg, 2, /*lanes=*/1,
+                                 MergePolicy::Confidence,
+                                 std::move(channels));
             Rng rng(5);
-            coordinator.stepInterface(golden::randomIface(cfg, rng));
+            MemoryReadout out;
+            group.stepLaneInto(0, golden::randomIface(cfg, rng), out);
         },
         "exceeded the recv timeout");
 }
@@ -781,9 +677,12 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     cfg.shardCheckpointIntervalSteps = 4;
     cfg.linkageSkipThreshold = linkageSkipThreshold;
 
-    LocalShardCluster stack = makeLocalCluster(transport, cfg, tiles, 2);
-    ASSERT_TRUE(stack.coordinator != nullptr);
-    auto harness = armClusterRecovery(stack, transport);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        transport, cfg, tiles, /*lanes=*/1, 2, MergePolicy::Confidence,
+        /*wantWeightings=*/true);
+    ASSERT_TRUE(cluster.group != nullptr);
+    auto harness = armClusterRecovery(cluster, transport);
+    const std::unique_ptr<TileMemory> view = cluster.group->laneMemory(0);
     DncD ref(cfg, tiles); // the undisturbed run
 
     // Scripted kills: worker 0 dies just before serving step 6 (replay
@@ -793,10 +692,10 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     // exercised too).
     FaultSpec killA;
     killA.killAtStepFrame = 6;
-    stack.workers[0]->injectFault(killA);
+    cluster.workers[0]->injectFault(killA);
     FaultSpec killB;
     killB.killAtStepFrame = 14;
-    stack.workers[1]->injectFault(killB);
+    cluster.workers[1]->injectFault(killB);
 
     Rng rng(305 + tiles);
     std::vector<InterfaceVector> perTile(tiles);
@@ -804,7 +703,7 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     for (int step = 0; step < kSteps; ++step) {
         if (step == 12) {
             ref.reset();
-            stack.coordinator->reset();
+            view->reset();
         }
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         if (step % 3 == 2) {
@@ -814,25 +713,24 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
                     perTile[t].writeGate = 0.0;
             }
             const MemoryReadout a = ref.stepInterfaces(perTile);
-            const MemoryReadout b =
-                stack.coordinator->stepInterfaces(perTile);
+            const MemoryReadout b = view->stepInterfaces(perTile);
             expectReadoutIdentical(a, b, step);
         } else {
             const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = stack.coordinator->stepInterface(iface);
+            const MemoryReadout b = view->stepInterface(iface);
             expectReadoutIdentical(a, b, step);
         }
-        expectAlphasIdentical(ref, *stack.coordinator, step);
+        expectAlphasIdentical(ref, *view, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
 
-    EXPECT_TRUE(stack.workers[0]->faultFired());
-    EXPECT_TRUE(stack.workers[1]->faultFired());
-    EXPECT_EQ(stack.coordinator->recoveries(), 2u);
+    EXPECT_TRUE(cluster.workers[0]->faultFired());
+    EXPECT_TRUE(cluster.workers[1]->faultFired());
+    EXPECT_EQ(cluster.group->recoveries(), 2u);
     EXPECT_EQ(harness->workers.size(), 2u); // one replacement per kill
     // Checkpoints land at steps 4, 8, 12 and 16.
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 4u);
+    EXPECT_EQ(cluster.group->checkpointsTaken(), 4u);
 }
 
 TEST_P(ShardRecoveryGolden, KilledWorkersRestoreBitIdenticalToUndisturbed)
@@ -1017,38 +915,40 @@ TEST(PipelinedEngineRecovery, KillSurvivesLaneChurnBitExactly)
     EXPECT_EQ(engine.group().inFlight(), 0u);
 }
 
-// Live migration on the synchronous coordinator: a tile slice moves to
-// a fresh worker (even one on a *different* transport) between steps,
-// with no respawner and no checkpoint cadence configured, and the run
-// stays bit-identical throughout.
+// Live migration on a one-lane group: a tile slice moves to a fresh
+// worker (even one on a *different* transport) between steps, with no
+// respawner and no checkpoint cadence configured, and the run stays
+// bit-identical throughout.
 TEST(ShardMigration, CoordinatorMovesTileSlicesBetweenLiveWorkers)
 {
     const Index tiles = 4;
     const DncConfig cfg = gridConfig(tiles, 1, false);
-    LocalShardCluster stack =
-        makeLocalCluster(ClusterTransport::UnixSocket, cfg, tiles, 2);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::UnixSocket, cfg, tiles, /*lanes=*/1, 2,
+        MergePolicy::Confidence, /*wantWeightings=*/true);
+    ShardLaneGroup &group = *cluster.group;
     DncD ref(cfg, tiles);
 
     Rng rng(808);
     MemoryReadout a, b;
     for (int step = 0; step < 12; ++step) {
         if (step == 5)
-            stack.coordinator->migrateWorker(
+            group.migrateWorker(
                 1, makeClusterWorker(ClusterTransport::UnixSocket,
-                                     stack.workers, stack.threads));
+                                     cluster.workers, cluster.threads));
         if (step == 8) // channels are transport-agnostic: move to TCP
-            stack.coordinator->migrateWorker(
-                0, makeClusterWorker(ClusterTransport::Tcp, stack.workers,
-                                     stack.threads));
+            group.migrateWorker(
+                0, makeClusterWorker(ClusterTransport::Tcp, cluster.workers,
+                                     cluster.threads));
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         ref.stepInterfaceInto(iface, a);
-        stack.coordinator->stepInterfaceInto(iface, b);
+        group.stepLaneInto(0, iface, b);
         expectReadoutIdentical(a, b, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 2u);
-    EXPECT_EQ(stack.coordinator->recoveries(), 0u);
+    EXPECT_EQ(group.checkpointsTaken(), 2u);
+    EXPECT_EQ(group.recoveries(), 0u);
 }
 
 // Mid-run scale-out and scale-in on the lane group: the fleet grows
@@ -1117,7 +1017,7 @@ struct CollectSink final : FrameSink
     }
 };
 
-TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
+TEST(ShardWorkerProtocol, LaneStepBeforeHelloIsAnError)
 {
     ShardWorker worker;
     CollectSink sink;
@@ -1125,7 +1025,8 @@ TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
     Rng rng(1);
     const InterfaceVector iface =
         golden::randomIface(gridConfig(2, 1, false), rng);
-    encodeStepBroadcast(1, false, 0, iface, 1, w);
+    const LaneStepEntry entry[] = {{0, 0, &iface, 0}};
+    encodeLaneStep(1, false, entry, 1, w);
     worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
     ASSERT_EQ(sink.frames.size(), 1u);
     MsgType type;
@@ -1162,61 +1063,29 @@ TEST(ShardWorkerProtocol, MalformedFrameIsAnsweredWithError)
                             err));
 }
 
-TEST(ShardWorkerProtocol, LegacyStepOnAMultiLaneWorkerAnswersLaneZero)
-{
-    // A lanes>1 handshake followed by a legacy single-lane Step: the
-    // reply must carry exactly hostedTiles readouts (lane 0), not the
-    // whole lanes x hostedTiles scratch.
-    const DncConfig cfg = gridConfig(2, 1, false);
-    const DncConfig shard = shardConfigFor(cfg, 2);
-    ShardWorker worker;
-    CollectSink sink;
-    WireWriter w;
-    encodeHello(WireConfig::fromShard(shard, /*hostedTiles=*/2,
-                                      /*lanes=*/3),
-                w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 1u);
-    HelloAckMsg ack;
-    ASSERT_TRUE(decodeHelloAck(sink.frames[0].data(),
-                               sink.frames[0].size(), ack));
-    ASSERT_TRUE(ack.ok);
-    EXPECT_EQ(worker.lanes(), 3u);
-
-    Rng rng(9);
-    const InterfaceVector iface = golden::randomIface(shard, rng);
-    encodeStepBroadcast(1, false, 0b1, iface, 2, w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 2u);
-    StepReplyMsg reply;
-    ASSERT_TRUE(decodeStepReply(sink.frames[1].data(),
-                                sink.frames[1].size(), shard,
-                                /*hostedTiles=*/2, reply));
-    EXPECT_EQ(reply.seq, 1u);
-    EXPECT_EQ(reply.tiles.size(), 2u);
-}
-
 TEST(ShardWorkerProtocol, AdmitControlCountsEpisodes)
 {
     const DncConfig cfg = gridConfig(2, 1, false);
-    LoopbackShard stack = makeLoopbackShard(cfg, 2, 1);
-    EXPECT_EQ(stack.workers[0]->episodesServed(), 0u);
-    stack.coordinator->beginEpisode();
-    stack.coordinator->beginEpisode();
-    stack.coordinator->reset(); // EpisodeReset does not count
-    EXPECT_EQ(stack.workers[0]->episodesServed(), 2u);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, 2, /*lanes=*/1, 1);
+    const std::unique_ptr<TileMemory> memory = cluster.group->laneMemory(0);
+    EXPECT_EQ(cluster.workers[0]->episodesServed(), 0u);
+    memory->beginEpisode();
+    memory->beginEpisode();
+    memory->reset(); // EpisodeReset does not count
+    EXPECT_EQ(cluster.workers[0]->episodesServed(), 2u);
 }
 
-TEST(ShardWorkerProtocol, RejoinRecordsTheTileAssignment)
+TEST(ShardWorkerProtocol, HelloRecordsTheTileAssignment)
 {
     const DncConfig cfg = gridConfig(4, 1, false);
     const DncConfig shard = shardConfigFor(cfg, 4);
     ShardWorker worker;
     CollectSink sink;
     WireWriter w;
-    encodeRejoin(WireConfig::fromShard(shard, /*hostedTiles=*/2,
-                                       /*lanes=*/3),
-                 /*firstTile=*/2, w);
+    encodeHello(WireConfig::fromShard(shard, /*tiles=*/4, /*firstTile=*/2,
+                                      /*hostedTiles=*/2, /*lanes=*/3),
+                w);
     worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
     ASSERT_EQ(sink.frames.size(), 1u);
     HelloAckMsg ack;
@@ -1227,6 +1096,33 @@ TEST(ShardWorkerProtocol, RejoinRecordsTheTileAssignment)
     EXPECT_TRUE(worker.configured());
     EXPECT_EQ(worker.lanes(), 3u);
     EXPECT_EQ(worker.firstGlobalTile(), 2u);
+    EXPECT_EQ(worker.globalTiles(), 4u);
+}
+
+TEST(ShardWorkerProtocol, HelloOutsideTheGlobalTileCountIsRejected)
+{
+    const DncConfig shard = shardConfigFor(gridConfig(4, 1, false), 4);
+    const auto accepted = [&shard](Index tiles, Index firstTile,
+                                   Index hosted) {
+        ShardWorker worker;
+        CollectSink sink;
+        WireWriter w;
+        encodeHello(WireConfig::fromShard(shard, tiles, firstTile, hosted,
+                                          /*lanes=*/1),
+                    w);
+        worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
+        HelloAckMsg ack;
+        EXPECT_TRUE(sink.frames.size() == 1 &&
+                    decodeHelloAck(sink.frames[0].data(),
+                                   sink.frames[0].size(), ack));
+        EXPECT_EQ(worker.configured(), ack.ok);
+        return ack.ok;
+    };
+    EXPECT_TRUE(accepted(4, 2, 2));     // the last two of four tiles
+    EXPECT_FALSE(accepted(4, 3, 2));    // firstTile + hosted > tiles
+    EXPECT_FALSE(accepted(4, 5, 1));    // firstTile beyond the count
+    EXPECT_FALSE(accepted(0, 0, 1));    // no global tiles
+    EXPECT_FALSE(accepted(1025, 0, 1)); // above the tile-count cap
 }
 
 TEST(ShardWorkerProtocol, CheckpointAndRestoreBeforeHelloAreErrors)
@@ -1258,7 +1154,7 @@ TEST(ShardFault, ScriptedKillSilencesTheWorkerAtTheExactFrame)
     ShardWorker worker;
     CollectSink sink;
     WireWriter w;
-    encodeHello(WireConfig::fromShard(shard, 2), w);
+    encodeHello(WireConfig::fromShard(shard, 2, 0, 2, 1), w);
     ASSERT_TRUE(worker.handleFrame(w.buffer().data(), w.buffer().size(),
                                    sink));
     FaultSpec kill;
@@ -1268,7 +1164,8 @@ TEST(ShardFault, ScriptedKillSilencesTheWorkerAtTheExactFrame)
     Rng rng(13);
     for (std::uint64_t seq = 1; seq <= 4; ++seq) {
         const InterfaceVector iface = golden::randomIface(shard, rng);
-        encodeStepBroadcast(seq, false, 0, iface, 2, w);
+        const LaneStepEntry entry[] = {{0, 0, &iface, 0}};
+        encodeLaneStep(seq, false, entry, 1, w);
         const bool alive =
             worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
         EXPECT_EQ(alive, seq < 3) << "seq " << seq;
@@ -1285,8 +1182,10 @@ TEST(ShardFault, ScriptedKillSilencesTheWorkerAtTheExactFrame)
 TEST(ShardZeroAlloc, SteadyStateLoopbackRoundTrip)
 {
     const DncConfig cfg = serveCfg();
-    ShardedDnc model(cfg, 9,
-                     loopbackBackend(cfg, /*tiles=*/4, /*workers=*/2));
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, /*tiles=*/4, /*lanes=*/1,
+        /*workerCount=*/2);
+    ShardedDnc model(cfg, 9, cluster.group->laneMemory(0));
     Rng rng(606);
     std::vector<Vector> inputs;
     for (int i = 0; i < 8; ++i)
@@ -1316,9 +1215,10 @@ TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
     // rings (the worker thread's allocations land in the same
     // process-wide counter).
     const DncConfig cfg = serveCfg();
-    LocalShardCluster stack = makeLocalCluster(
-        ClusterTransport::Shm, cfg, /*tiles=*/4, /*workerCount=*/2,
-        MergePolicy::Confidence, /*wantWeightings=*/false);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Shm, cfg, /*tiles=*/4, /*lanes=*/1,
+        /*workerCount=*/2);
+    ShardLaneGroup &group = *cluster.group;
 
     Rng rng(606);
     std::vector<InterfaceVector> ifaces;
@@ -1327,12 +1227,12 @@ TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
 
     MemoryReadout out;
     for (int i = 0; i < 3; ++i) // sizes every buffer on both ends
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        group.stepLaneInto(0, ifaces[i], out);
 
     const std::uint64_t before =
         g_allocationCount.load(std::memory_order_relaxed);
     for (int i = 3; i < 8; ++i)
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        group.stepLaneInto(0, ifaces[i], out);
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
@@ -1384,11 +1284,11 @@ TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)
     // rings are warm.
     DncConfig cfg = serveCfg();
     cfg.shardCheckpointIntervalSteps = 2;
-    LocalShardCluster stack =
-        makeLocalCluster(ClusterTransport::Loopback, cfg, /*tiles=*/4,
-                         /*workerCount=*/2, MergePolicy::Confidence,
-                         /*wantWeightings=*/false);
-    auto harness = armClusterRecovery(stack, ClusterTransport::Loopback);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, /*tiles=*/4, /*lanes=*/1,
+        /*workerCount=*/2);
+    auto harness = armClusterRecovery(cluster, ClusterTransport::Loopback);
+    ShardLaneGroup &group = *cluster.group;
 
     Rng rng(606);
     std::vector<InterfaceVector> ifaces;
@@ -1397,19 +1297,19 @@ TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)
 
     MemoryReadout out;
     for (int i = 0; i < 5; ++i) // warm: two full checkpoint intervals
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        group.stepLaneInto(0, ifaces[i], out);
 
     const std::uint64_t before =
         g_allocationCount.load(std::memory_order_relaxed);
     for (int i = 5; i < 11; ++i)
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        group.stepLaneInto(0, ifaces[i], out);
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "steady-state step with checkpointing performed heap "
            "allocations (checkpoint encode/decode, snapshot store, "
            "pending-frame tracking, or replay-log ring regressed)";
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 5u);
+    EXPECT_EQ(group.checkpointsTaken(), 5u);
 }
 
 TEST(ShardZeroAlloc, SteadyStatePipelinedEngineWithCheckpointing)

@@ -558,46 +558,48 @@ TEST_P(RecoveryTrafficAccounting, ReplayCountsEveryFrameExactlyOnce)
     cfg.shardCheckpointIntervalSteps = 4;
     const Index tiles = 2;
 
-    LocalShardCluster stack = makeLocalCluster(transport, cfg, tiles, 2);
-    ASSERT_TRUE(stack.coordinator != nullptr);
-    auto harness = armClusterRecovery(stack, transport);
+    LocalLaneCluster cluster =
+        makeLocalLaneCluster(transport, cfg, tiles, /*lanes=*/1, 2);
+    ASSERT_TRUE(cluster.group != nullptr);
+    auto harness = armClusterRecovery(cluster, transport);
+    ShardLaneGroup &group = *cluster.group;
     DncD ref(cfg, tiles);
 
-    // Worker 0 dies receiving its 6th Step frame: one step past the
+    // Worker 0 dies receiving its 6th LaneStep frame: one step past the
     // step-4 checkpoint is logged (step 5), and step 6 itself is the
     // in-flight frame the recovery resends after the replay.
     FaultSpec kill;
     kill.killAtStepFrame = 6;
-    stack.workers[0]->injectFault(kill);
+    cluster.workers[0]->injectFault(kill);
 
     Rng rng(808);
     constexpr int kSteps = 12;
+    MemoryReadout b;
     for (int step = 0; step < kSteps; ++step) {
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         const MemoryReadout a = ref.stepInterface(iface);
-        const MemoryReadout b = stack.coordinator->stepInterface(iface);
+        group.stepLaneInto(0, iface, b);
         for (Index h = 0; h < cfg.readHeads; ++h)
             ASSERT_TRUE(a.readVectors[h] == b.readVectors[h])
                 << "diverged at step " << step << " head " << h;
     }
-    ASSERT_TRUE(stack.workers[0]->faultFired());
-    EXPECT_EQ(stack.coordinator->recoveries(), 1u);
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 3u); // steps 4, 8, 12
+    ASSERT_TRUE(cluster.workers[0]->faultFired());
+    EXPECT_EQ(group.recoveries(), 1u);
+    EXPECT_EQ(group.checkpointsTaken(), 3u); // steps 4, 8, 12
 
-    // channel(0) is the replacement: it saw Rejoin + Restore, the
+    // channel(0) is the replacement: it saw Hello + Restore, the
     // replayed step 5, the resent in-flight step 6, live steps 7-12,
     // and the checkpoint pulls at steps 8 and 12. Exactly that — a
     // frame counted during replay AND again on the resend would show
-    // up here as Step > 8.
-    const Channel &repl = stack.coordinator->channel(0);
-    EXPECT_EQ(frames(repl.sentStats(), MsgType::Hello), 0u);
-    EXPECT_EQ(frames(repl.sentStats(), MsgType::Rejoin), 1u);
+    // up here as LaneStep > 8.
+    const Channel &repl = group.channel(0);
+    EXPECT_EQ(frames(repl.sentStats(), MsgType::Hello), 1u);
     EXPECT_EQ(frames(repl.sentStats(), MsgType::Restore), 1u);
-    EXPECT_EQ(frames(repl.sentStats(), MsgType::Step), 8u);
+    EXPECT_EQ(frames(repl.sentStats(), MsgType::LaneStep), 8u);
     EXPECT_EQ(frames(repl.sentStats(), MsgType::CheckpointRequest), 2u);
     EXPECT_EQ(frames(repl.receivedStats(), MsgType::HelloAck), 1u);
     EXPECT_EQ(frames(repl.receivedStats(), MsgType::ControlAck), 1u);
-    EXPECT_EQ(frames(repl.receivedStats(), MsgType::StepReply), 8u);
+    EXPECT_EQ(frames(repl.receivedStats(), MsgType::LaneStepReply), 8u);
     EXPECT_EQ(frames(repl.receivedStats(), MsgType::CheckpointState), 2u);
     // Every request produced exactly one reply — the ledger balances.
     EXPECT_EQ(repl.sentStats().totalFrames(),
@@ -606,13 +608,12 @@ TEST_P(RecoveryTrafficAccounting, ReplayCountsEveryFrameExactlyOnce)
     // channel(1) never died: one Hello, one Step per coordinator step,
     // one checkpoint pull per interval — recovery of its neighbour must
     // not have touched its stream.
-    const Channel &calm = stack.coordinator->channel(1);
+    const Channel &calm = group.channel(1);
     EXPECT_EQ(frames(calm.sentStats(), MsgType::Hello), 1u);
-    EXPECT_EQ(frames(calm.sentStats(), MsgType::Rejoin), 0u);
-    EXPECT_EQ(frames(calm.sentStats(), MsgType::Step),
+    EXPECT_EQ(frames(calm.sentStats(), MsgType::LaneStep),
               static_cast<std::uint64_t>(kSteps));
     EXPECT_EQ(frames(calm.sentStats(), MsgType::CheckpointRequest), 3u);
-    EXPECT_EQ(frames(calm.receivedStats(), MsgType::StepReply),
+    EXPECT_EQ(frames(calm.receivedStats(), MsgType::LaneStepReply),
               static_cast<std::uint64_t>(kSteps));
     EXPECT_EQ(frames(calm.receivedStats(), MsgType::CheckpointState), 3u);
     // No unparsable frames anywhere on a healthy wire.

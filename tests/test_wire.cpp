@@ -7,6 +7,9 @@
  * attacker-controlled sizes.
  */
 
+#include <cstring>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "golden_util.h"
@@ -48,13 +51,25 @@ TEST(Wire, HelloRoundTrip)
     cfg.approximateSoftmax = true;
     cfg.softmaxSegments = 12;
     cfg.numThreads = 4;
-    const WireConfig sent = WireConfig::fromShard(cfg, 3);
+    const WireConfig sent = WireConfig::fromShard(cfg, /*tiles=*/8,
+                                                  /*firstTile=*/5,
+                                                  /*hostedTiles=*/3,
+                                                  /*lanes=*/2);
 
     WireWriter w;
     encodeHello(sent, w);
     WireConfig got;
     ASSERT_TRUE(decodeHello(w.buffer().data(), w.buffer().size(), got));
     EXPECT_EQ(sent, got);
+    EXPECT_EQ(got.tiles, 8u);
+    EXPECT_EQ(got.firstTile, 5u);
+    EXPECT_EQ(got.hostedTiles, 3u);
+    EXPECT_EQ(got.lanes, 2u);
+
+    WireConfig partial;
+    for (std::size_t len = 0; len < w.buffer().size(); ++len)
+        EXPECT_FALSE(decodeHello(w.buffer().data(), len, partial))
+            << "truncated Hello of " << len << " bytes decoded";
 
     // The reconstructed DncConfig preserves shapes and datapath mode.
     const DncConfig back = got.toShardConfig();
@@ -85,26 +100,40 @@ TEST(Wire, HelloAckRoundTrip)
     EXPECT_EQ(got.message, sent.message);
 }
 
+/** Nt distinct per-tile interfaces (learned write sharding). */
+std::vector<InterfaceVector>
+perTileIfaces(const DncConfig &cfg, Index tiles, std::uint64_t seed)
+{
+    std::vector<InterfaceVector> ifaces;
+    for (Index t = 0; t < tiles; ++t)
+        ifaces.push_back(sampleIface(cfg, seed + t));
+    return ifaces;
+}
+
 TEST(Wire, StepRoundTripPreservesEveryRealBitExactly)
 {
+    // A per-tile entry carries all Nt global interfaces; a broadcast
+    // entry beside it carries one that every tile steps with.
     const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.seq = 0xDEADBEEFCAFEull;
-    sent.wantWeightings = true;
-    sent.scoredMask = 0b101;
-    sent.ifaces = {sampleIface(cfg, 1), sampleIface(cfg, 2)};
+    const std::vector<InterfaceVector> tiles = perTileIfaces(cfg, 3, 1);
+    const InterfaceVector query = sampleIface(cfg, 9);
+    const LaneStepEntry entries[] = {{1, 0b101, tiles.data(), 3},
+                                     {4, 0b010, &query, 0}};
 
     WireWriter w;
-    encodeStep(sent, cfg, w);
-    StepMsg got;
-    ASSERT_TRUE(
-        decodeStep(w.buffer().data(), w.buffer().size(), cfg, 2, got));
-    EXPECT_EQ(got.seq, sent.seq);
-    EXPECT_EQ(got.wantWeightings, sent.wantWeightings);
-    EXPECT_EQ(got.scoredMask, sent.scoredMask);
-    ASSERT_EQ(got.ifaces.size(), 2u);
-    for (Index t = 0; t < 2; ++t)
-        golden::expectIfaceEqual(sent.ifaces[t], got.ifaces[t]);
+    encodeLaneStep(0xDEADBEEFCAFEull, true, entries, 2, w);
+    LaneStepMsg got;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
+                               /*lanes=*/6, /*tiles=*/3, got));
+    EXPECT_EQ(got.seq, 0xDEADBEEFCAFEull);
+    EXPECT_TRUE(got.wantWeightings);
+    EXPECT_EQ(got.lanes, (std::vector<std::uint32_t>{1, 4}));
+    EXPECT_EQ(got.masks, (std::vector<std::uint32_t>{0b101, 0b010}));
+    EXPECT_EQ(got.perTile, (std::vector<std::uint8_t>{1, 0}));
+    for (Index t = 0; t < 3; ++t) {
+        golden::expectIfaceEqual(tiles[t], got.iface(0, t));
+        golden::expectIfaceEqual(query, got.iface(1, t));
+    }
 }
 
 TEST(Wire, StepBroadcastDecodesLikeSpanOfCopiesButShipsOneInterface)
@@ -112,32 +141,36 @@ TEST(Wire, StepBroadcastDecodesLikeSpanOfCopiesButShipsOneInterface)
     const DncConfig cfg = shardCfg();
     const InterfaceVector iface = sampleIface(cfg, 5);
     const std::vector<InterfaceVector> copies(3, iface);
+    const LaneStepEntry broadcast[] = {{0, 0b11, &iface, 0}};
+    const LaneStepEntry span[] = {{0, 0b11, copies.data(), 3}};
 
     WireWriter a, b;
-    encodeStepBroadcast(9, false, 0b11, iface, 3, a);
-    encodeStepSpan(9, false, 0b11, copies.data(), 3, b);
-    // The broadcast frame carries the interface once...
+    encodeLaneStep(9, false, broadcast, 1, a);
+    encodeLaneStep(9, false, span, 1, b);
+    // The broadcast entry carries the interface once...
     EXPECT_LT(a.buffer().size(), b.buffer().size() / 2);
 
-    // ...but decodes to the identical expanded message.
-    StepMsg fromBroadcast, fromSpan;
-    ASSERT_TRUE(decodeStep(a.buffer().data(), a.buffer().size(), cfg, 3,
-                           fromBroadcast));
-    ASSERT_TRUE(decodeStep(b.buffer().data(), b.buffer().size(), cfg, 3,
-                           fromSpan));
-    EXPECT_EQ(fromBroadcast.seq, fromSpan.seq);
-    EXPECT_EQ(fromBroadcast.scoredMask, fromSpan.scoredMask);
-    ASSERT_EQ(fromBroadcast.ifaces.size(), 3u);
+    // ...but every tile decodes the identical interface from either.
+    LaneStepMsg fromBroadcast, fromSpan;
+    ASSERT_TRUE(decodeLaneStep(a.buffer().data(), a.buffer().size(), cfg, 1,
+                               3, fromBroadcast));
+    ASSERT_TRUE(decodeLaneStep(b.buffer().data(), b.buffer().size(), cfg, 1,
+                               3, fromSpan));
+    EXPECT_EQ(fromBroadcast.masks, fromSpan.masks);
     for (Index t = 0; t < 3; ++t)
-        golden::expectIfaceEqual(fromBroadcast.ifaces[t], fromSpan.ifaces[t]);
+        golden::expectIfaceEqual(fromBroadcast.iface(0, t),
+                                 fromSpan.iface(0, t));
 }
 
 TEST(Wire, StepReplyRoundTrip)
 {
+    // A lane-batched reply carrying the global-view weightings.
     const DncConfig cfg = shardCfg();
     const Index r = cfg.readHeads;
+    const Index hosted = 2;
+    const std::uint32_t lanes[] = {0, 3};
     Rng rng(11);
-    std::vector<MemoryReadout> tiles(2);
+    std::vector<MemoryReadout> tiles(2 * hosted);
     std::vector<Real> confidence;
     for (MemoryReadout &t : tiles) {
         for (Index h = 0; h < r; ++h) {
@@ -146,20 +179,20 @@ TEST(Wire, StepReplyRoundTrip)
         }
         t.writeWeighting = rng.uniformVector(cfg.memoryRows);
     }
-    for (Index i = 0; i < 2 * r; ++i)
+    for (Index i = 0; i < tiles.size() * r; ++i)
         confidence.push_back(rng.normal());
 
     WireWriter w;
-    encodeStepReply(42, true, tiles.data(), tiles.size(), confidence, cfg,
-                    w);
-    StepReplyMsg got;
-    ASSERT_TRUE(decodeStepReply(w.buffer().data(), w.buffer().size(), cfg,
-                                2, got));
+    encodeLaneStepReply(42, true, lanes, 2, hosted, tiles, confidence, cfg,
+                        w);
+    LaneStepReplyMsg got;
+    ASSERT_TRUE(decodeLaneStepReply(w.buffer().data(), w.buffer().size(),
+                                    cfg, hosted, 2, got));
     EXPECT_EQ(got.seq, 42u);
     EXPECT_TRUE(got.hasWeightings);
-    ASSERT_EQ(got.tiles.size(), 2u);
+    ASSERT_EQ(got.tiles.size(), tiles.size());
     EXPECT_EQ(got.confidence, confidence);
-    for (Index t = 0; t < 2; ++t) {
+    for (Index t = 0; t < tiles.size(); ++t) {
         for (Index h = 0; h < r; ++h) {
             EXPECT_TRUE(got.tiles[t].readVectors[h] ==
                         tiles[t].readVectors[h]);
@@ -184,16 +217,15 @@ TEST(Wire, StepReplyWithoutWeightingsOmitsThem)
     tiles[0].writeWeighting = rng.uniformVector(cfg.memoryRows);
     const std::vector<Real> confidence(r, 0.5);
 
+    const std::uint32_t lanes[] = {0};
     WireWriter lean, full;
-    encodeStepReply(1, false, tiles.data(), tiles.size(), confidence, cfg,
-                    lean);
-    encodeStepReply(1, true, tiles.data(), tiles.size(), confidence, cfg,
-                    full);
+    encodeLaneStepReply(1, false, lanes, 1, 1, tiles, confidence, cfg, lean);
+    encodeLaneStepReply(1, true, lanes, 1, 1, tiles, confidence, cfg, full);
     EXPECT_LT(lean.buffer().size(), full.buffer().size());
 
-    StepReplyMsg got;
-    ASSERT_TRUE(decodeStepReply(lean.buffer().data(), lean.buffer().size(),
-                                cfg, 1, got));
+    LaneStepReplyMsg got;
+    ASSERT_TRUE(decodeLaneStepReply(lean.buffer().data(),
+                                    lean.buffer().size(), cfg, 1, 1, got));
     EXPECT_FALSE(got.hasWeightings);
     EXPECT_TRUE(got.tiles[0].readWeightings.empty());
 }
@@ -240,15 +272,15 @@ TEST(Wire, LaneStepRoundTripPreservesEveryLane)
     encodeLaneStep(0xFEEDu, true, entries, 3, w);
     LaneStepMsg got;
     ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                               /*lanes=*/6, got));
+                               /*lanes=*/6, /*tiles=*/1, got));
     EXPECT_EQ(got.seq, 0xFEEDu);
     EXPECT_TRUE(got.wantWeightings);
     ASSERT_EQ(got.lanes.size(), 3u);
     EXPECT_EQ(got.lanes, (std::vector<std::uint32_t>{0, 2, 5}));
     EXPECT_EQ(got.masks, (std::vector<std::uint32_t>{0b001, 0b111, 0b000}));
-    golden::expectIfaceEqual(a, got.ifaces[0]);
-    golden::expectIfaceEqual(b, got.ifaces[1]);
-    golden::expectIfaceEqual(c, got.ifaces[2]);
+    golden::expectIfaceEqual(a, got.iface(0, 0));
+    golden::expectIfaceEqual(b, got.iface(1, 0));
+    golden::expectIfaceEqual(c, got.iface(2, 0));
 }
 
 TEST(Wire, LaneStepRejectsBadLaneLists)
@@ -262,31 +294,31 @@ TEST(Wire, LaneStepRejectsBadLaneLists)
     WireWriter w;
     encodeLaneStep(1, false, outOfRange, 1, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                /*lanes=*/4, out));
+                                /*lanes=*/4, 1, out));
 
     // Duplicate lane (would race on that lane's tiles).
     const LaneStepEntry dup[] = {{1, 0, &iface}, {1, 0, &iface}};
     encodeLaneStep(2, false, dup, 2, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 1, out));
 
     // Descending order.
     const LaneStepEntry desc[] = {{3, 0, &iface}, {1, 0, &iface}};
     encodeLaneStep(3, false, desc, 2, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 1, out));
 
     // More lanes than hosted.
     const LaneStepEntry wide[] = {
         {0, 0, &iface}, {1, 0, &iface}, {2, 0, &iface}};
     encodeLaneStep(4, false, wide, 3, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                2, out));
+                                2, 1, out));
 
     // Zero lanes.
     encodeLaneStep(5, false, wide, 0, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 1, out));
 }
 
 TEST(Wire, LaneStepReplyRoundTrip)
@@ -336,13 +368,13 @@ TEST(WireMalformed, LaneStepTruncationAtEveryByteIsRejected)
 
     LaneStepMsg out;
     for (std::size_t len = 0; len < w.buffer().size(); ++len)
-        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 4, out))
+        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 4, 1, out))
             << "truncated LaneStep of " << len << " bytes decoded";
 
     // Trailing garbage after a well-formed frame is rejected too.
     std::vector<std::uint8_t> frame = w.buffer();
     frame.push_back(0xAB);
-    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 4, out));
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 4, 1, out));
 }
 
 TEST(WireMalformed, LaneStepReplyTruncationAtEveryByteIsRejected)
@@ -380,7 +412,7 @@ TEST(WireMalformed, LaneStepAdversarialCountsDoNotAllocate)
     w.putU32(0xFFFFFFFF); // laneCount — absurd
     LaneStepMsg out;
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
-                                shardCfg(), 8, out));
+                                shardCfg(), 8, 1, out));
 }
 
 TEST(Wire, ErrorRoundTripAndPeek)
@@ -405,17 +437,96 @@ TEST(Wire, ErrorRoundTripAndPeek)
 
 TEST(WireMalformed, TruncationAtEveryByteIsRejected)
 {
+    // A per-tile LaneStep entry: every prefix of the frame fails closed.
     const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.seq = 3;
-    sent.ifaces = {sampleIface(cfg, 7), sampleIface(cfg, 8)};
+    const std::vector<InterfaceVector> tiles = perTileIfaces(cfg, 2, 7);
+    const LaneStepEntry entries[] = {{0, 0b11, tiles.data(), 2}};
     WireWriter w;
-    encodeStep(sent, cfg, w);
+    encodeLaneStep(3, false, entries, 1, w);
 
-    StepMsg out;
+    LaneStepMsg out;
     for (std::size_t len = 0; len < w.buffer().size(); ++len)
-        EXPECT_FALSE(decodeStep(w.buffer().data(), len, cfg, 2, out))
+        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 1, 2, out))
             << "truncated frame of " << len << " bytes decoded";
+}
+
+TEST(WireMalformed, LaneStepEntryTagAndTileCountAreValidated)
+{
+    const DncConfig cfg = shardCfg();
+    const std::vector<InterfaceVector> tiles = perTileIfaces(cfg, 2, 61);
+    const LaneStepEntry entries[] = {{0, 0b1, tiles.data(), 2}};
+    WireWriter w;
+    encodeLaneStep(7, false, entries, 1, w);
+    LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg, 1,
+                               2, out));
+
+    // A per-tile entry must carry exactly the handshake's Nt interfaces.
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
+                                1, 3, out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
+                                1, 1, out));
+
+    // Entry tag: header 4 + seq 8 + flag 1 + count 4 + lane 4 + mask 4.
+    constexpr std::size_t kTag = 25;
+    std::vector<std::uint8_t> frame = w.buffer();
+    ASSERT_EQ(frame[kTag], 1u);
+    frame[kTag] = 2; // unknown tag
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, out));
+    frame[kTag] = 0; // broadcast tag over a per-tile body
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, out));
+
+    // A lying per-tile count bounces before the interface pool grows.
+    frame = w.buffer();
+    for (std::size_t b = 1; b <= 4; ++b)
+        frame[kTag + b] = 0xFF;
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 2, out));
+}
+
+/** Overwrite the Real at `offset` with `value`'s little-endian bits. */
+void
+spliceReal(std::vector<std::uint8_t> &frame, std::size_t offset, Real value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    for (std::size_t b = 0; b < 8; ++b)
+        frame[offset + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+}
+
+TEST(WireMalformed, LaneStepReplyRejectsNonFiniteReals)
+{
+    // One worker's NaN logit would turn its lane's merge alphas, and so
+    // the merged reads, into NaN: the reply decoder is a trust boundary.
+    const DncConfig cfg = shardCfg();
+    const Index r = cfg.readHeads;
+    const Index width = cfg.memoryWidth;
+    const std::uint32_t lanes[] = {0};
+    Rng rng(71);
+    std::vector<MemoryReadout> readouts(1);
+    for (Index h = 0; h < r; ++h)
+        readouts[0].readVectors.push_back(rng.normalVector(width));
+    const std::vector<Real> confidence(r, 0.5);
+    WireWriter w;
+    encodeLaneStepReply(3, false, lanes, 1, 1, readouts, confidence, cfg, w);
+    LaneStepReplyMsg out;
+    ASSERT_TRUE(decodeLaneStepReply(w.buffer().data(), w.buffer().size(),
+                                    cfg, 1, 1, out));
+
+    // Header 4 + seq 8 + flag 1 + count 4 + lane id 4, then R read
+    // vectors ([u32 count] [W Reals] each) and R logits.
+    const std::size_t firstRead = 21 + 4;
+    const std::size_t firstLogit = 21 + r * (4 + 8 * width);
+    ASSERT_EQ(w.buffer().size(), firstLogit + 8 * r);
+    for (const Real poison : {std::numeric_limits<Real>::quiet_NaN(),
+                              std::numeric_limits<Real>::infinity()}) {
+        for (const std::size_t offset : {firstRead + 8, firstLogit + 8}) {
+            std::vector<std::uint8_t> frame = w.buffer();
+            spliceReal(frame, offset, poison);
+            EXPECT_FALSE(decodeLaneStepReply(frame.data(), frame.size(), cfg,
+                                             1, 1, out))
+                << "non-finite Real at byte " << offset << " decoded";
+        }
+    }
 }
 
 TEST(WireMalformed, HeaderCorruptionIsRejected)
@@ -439,30 +550,33 @@ TEST(WireMalformed, HeaderCorruptionIsRejected)
     MsgType type;
     frame[3] = 200; // unknown type
     EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+    for (const std::uint8_t retired : {3, 4, 14}) { // v6 single-lane frames
+        frame[3] = retired;
+        EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+    }
 }
 
 TEST(WireMalformed, WrongShapesAreRejected)
 {
     const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.ifaces = {sampleIface(cfg, 9)};
+    const InterfaceVector iface = sampleIface(cfg, 9);
+    const LaneStepEntry entries[] = {{0, 0, &iface, 0}};
     WireWriter w;
-    encodeStep(sent, cfg, w);
+    encodeLaneStep(1, false, entries, 1, w);
 
-    StepMsg out;
-    // Tile-count mismatch.
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), cfg, 2,
-                            out));
+    LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg, 1,
+                               1, out));
     // Shape mismatch: the receiver expects a wider W.
     DncConfig wide = cfg;
     wide.memoryWidth = cfg.memoryWidth + 4;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), wide, 1,
-                            out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), wide,
+                                1, 1, out));
     // Head-count mismatch.
     DncConfig heads = cfg;
     heads.readHeads = cfg.readHeads + 1;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), heads, 1,
-                            out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), heads,
+                                1, 1, out));
 }
 
 TEST(WireMalformed, TrailingGarbageIsRejected)
@@ -477,37 +591,39 @@ TEST(WireMalformed, TrailingGarbageIsRejected)
 
 TEST(WireMalformed, AdversarialCountsDoNotAllocate)
 {
-    // A hand-built Step frame declaring 4 billion read keys: the
+    // A hand-built LaneStep entry declaring 4 billion read keys: the
     // decoder must reject on the count check, not resize first.
     WireWriter w;
-    w.header(MsgType::Step);
+    w.header(MsgType::LaneStep);
     w.putU64(1);          // seq
     w.putU8(0);           // wantWeightings
+    w.putU32(1);          // one entry
+    w.putU32(0);          // lane
     w.putU32(0);          // scoredMask
-    w.putU8(0);           // per-tile interfaces
-    w.putU32(1);          // one tile
+    w.putU8(0);           // broadcast tag
     w.putU32(0xFFFFFFFF); // readKeys count — absurd
-    StepMsg out;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), shardCfg(),
-                            1, out));
+    LaneStepMsg out;
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                shardCfg(), 1, 1, out));
 
     // Same for a vector length beyond the remaining bytes.
     WireWriter v;
-    v.header(MsgType::StepReply);
+    v.header(MsgType::LaneStepReply);
     v.putU64(1);
     v.putU8(0);
-    v.putU32(1);          // one tile
+    v.putU32(1);          // one lane
+    v.putU32(0);          // lane id
     v.putU32(0x40000000); // first read vector claims 2^30 reals
-    StepReplyMsg reply;
-    EXPECT_FALSE(decodeStepReply(v.buffer().data(), v.buffer().size(),
-                                 shardCfg(), 1, reply));
+    LaneStepReplyMsg reply;
+    EXPECT_FALSE(decodeLaneStepReply(v.buffer().data(), v.buffer().size(),
+                                     shardCfg(), 1, 1, reply));
 }
 
 // --------------------------------------------------------------------
-// Fault-tolerance frames (wire v3): checkpoint pull/push, Rejoin.
+// Fault-tolerance frames (wire v3): checkpoint pull/push.
 // --------------------------------------------------------------------
 
-TEST(Wire, CheckpointRequestAndRejoinRoundTrip)
+TEST(Wire, CheckpointRequestRoundTrip)
 {
     WireWriter w;
     encodeCheckpointRequest(77, w);
@@ -518,17 +634,6 @@ TEST(Wire, CheckpointRequestAndRejoinRoundTrip)
     ASSERT_TRUE(decodeCheckpointRequest(w.buffer().data(),
                                         w.buffer().size(), seq));
     EXPECT_EQ(seq, 77u);
-
-    DncConfig cfg = shardCfg();
-    cfg.fixedPoint = true;
-    const WireConfig sent = WireConfig::fromShard(cfg, 3, /*lanes=*/2);
-    encodeRejoin(sent, /*firstTile=*/5, w);
-    WireConfig got;
-    std::uint64_t firstTile = 0;
-    ASSERT_TRUE(
-        decodeRejoin(w.buffer().data(), w.buffer().size(), got, firstTile));
-    EXPECT_EQ(got, sent);
-    EXPECT_EQ(firstTile, 5u);
 }
 
 TEST(Wire, CheckpointStateRestoresABitExactReplica)
@@ -638,15 +743,6 @@ TEST(WireMalformed, CheckpointFrameTruncationAtEveryByteIsRejected)
         EXPECT_FALSE(decodeCheckpointRequest(req.buffer().data(), len, seq))
             << "truncated CheckpointRequest of " << len << " bytes decoded";
 
-    WireWriter rejoin;
-    encodeRejoin(WireConfig::fromShard(cfg, 2), 1, rejoin);
-    WireConfig outCfg;
-    std::uint64_t firstTile = 0;
-    for (std::size_t len = 0; len < rejoin.buffer().size(); ++len)
-        EXPECT_FALSE(decodeRejoin(rejoin.buffer().data(), len, outCfg,
-                                  firstTile))
-            << "truncated Rejoin of " << len << " bytes decoded";
-
     std::vector<std::unique_ptr<MemoryUnit>> tiles;
     tiles.push_back(std::make_unique<MemoryUnit>(cfg));
     MemoryTileState snapshot;
@@ -709,21 +805,17 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
     // fleet dies at the handshake instead of misreading state frames.
     const DncConfig cfg = shardCfg();
     WireWriter w;
-    encodeHello(WireConfig::fromShard(cfg, 2), w);
+    encodeHello(WireConfig::fromShard(cfg, 2, 0, 2, 1), w);
     std::vector<std::uint8_t> frame = w.buffer();
     ASSERT_EQ(frame[2], kWireVersion);
-    frame[2] = 2;
 
     MsgType type;
-    EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
     WireConfig got;
-    EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
-
-    std::uint64_t firstTile = 0;
-    encodeRejoin(WireConfig::fromShard(cfg, 2), 0, w);
-    frame = w.buffer();
-    frame[2] = 2;
-    EXPECT_FALSE(decodeRejoin(frame.data(), frame.size(), got, firstTile));
+    for (const std::uint8_t old : {2, 6}) { // v6: pre-tile-assignment Hello
+        frame[2] = old;
+        EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+        EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
+    }
 
     std::uint64_t seq = 0;
     encodeCheckpointRequest(9, w);
@@ -781,7 +873,9 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
 
     const Index hosted = 2;
     WireWriter w;
-    encodeHello(WireConfig::fromShard(cfg, hosted, /*lanes=*/1), w);
+    encodeHello(WireConfig::fromShard(cfg, /*tiles=*/hosted, /*firstTile=*/0,
+                                      hosted, /*lanes=*/1),
+                w);
     chan.sendFrame(w.buffer().data(), w.buffer().size());
     std::vector<std::uint8_t> frame;
     ASSERT_TRUE(chan.recvFrame(frame));
@@ -807,19 +901,20 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
         ASSERT_TRUE(decodeControlAck(frame.data(), frame.size(), ackSeq));
         EXPECT_EQ(ackSeq, admit.seq);
 
-        // Three Steps queued before any reply is popped: the inbox ring
-        // must hold multiple outstanding replies and deliver them in
-        // send order with the matching sequence ids.
+        // Three LaneSteps queued before any reply is popped: the inbox
+        // ring must hold multiple outstanding replies and deliver them
+        // in send order with the matching sequence ids.
         const std::uint64_t firstSeq = seq + 1;
+        const LaneStepEntry entry[] = {{0, 0b1, &iface, 0}};
         for (int burst = 0; burst < 3; ++burst) {
-            encodeStepBroadcast(++seq, false, 0b1, iface, hosted, w);
+            encodeLaneStep(++seq, false, entry, 1, w);
             chan.sendFrame(w.buffer().data(), w.buffer().size());
         }
         for (int burst = 0; burst < 3; ++burst) {
             ASSERT_TRUE(chan.recvFrame(frame));
-            StepReplyMsg reply;
-            ASSERT_TRUE(decodeStepReply(frame.data(), frame.size(), cfg,
-                                        hosted, reply));
+            LaneStepReplyMsg reply;
+            ASSERT_TRUE(decodeLaneStepReply(frame.data(), frame.size(), cfg,
+                                            hosted, 1, reply));
             EXPECT_EQ(reply.seq, firstSeq + burst)
                 << "episode " << episode << " reply out of order";
         }
@@ -830,10 +925,10 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
 
     // The channel classified traffic per message type.
     EXPECT_EQ(chan.sentStats()
-                  .frames[static_cast<std::size_t>(MsgType::Step)],
+                  .frames[static_cast<std::size_t>(MsgType::LaneStep)],
               9u);
     EXPECT_EQ(chan.receivedStats()
-                  .frames[static_cast<std::size_t>(MsgType::StepReply)],
+                  .frames[static_cast<std::size_t>(MsgType::LaneStepReply)],
               9u);
     EXPECT_EQ(chan.sentStats()
                   .frames[static_cast<std::size_t>(MsgType::Control)],
