@@ -14,34 +14,107 @@ namespace hima {
 namespace {
 
 /**
- * Absolute mass of one linkage row, summed in ascending-j order. The
- * sweep's in-pass refresh and restoreState()'s rebuild both call this,
- * so an undisturbed run and a checkpoint-restored one make identical
- * skip decisions (same values, same summation order, bit-identical).
+ * Lane count of the row-mass reduction. Column j always accumulates
+ * into lane j % kMassLanes, in ascending j within its lane, and the
+ * lanes fold in one fixed tree (foldMassLanes). Eight independent add
+ * chains keep the reduction off the floating-point add latency that a
+ * single serial chain waits on, and vectorize without reassociation.
+ */
+constexpr Index kMassLanes = 8;
+
+/** Fixed pairwise fold of the lane partial sums. */
+inline Real
+foldMassLanes(const Real (&lane)[kMassLanes])
+{
+    static_assert(kMassLanes == 8, "fold tree is written for 8 lanes");
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
+           ((lane[4] + lane[5]) + (lane[6] + lane[7]));
+}
+
+/**
+ * Adds |row[j]| for every j in [begin, end) into lane j % kMassLanes,
+ * in ascending j. `begin` must be a multiple of kMassLanes.
+ */
+inline void
+addMassRange(const Real *row, Index begin, Index end,
+             Real (&lane)[kMassLanes])
+{
+    const Index body = end - (end - begin) % kMassLanes;
+#if defined(__AVX2__)
+    // Lanes 0-3 and 4-7 as two 256-bit chains: the same per-lane adds
+    // as the scalar loop below, with two independent dependency chains
+    // and no 512-bit instructions.
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    __m256d lo = _mm256_loadu_pd(lane);
+    __m256d hi = _mm256_loadu_pd(lane + 4);
+    for (Index j = begin; j < body; j += kMassLanes) {
+        const __m256d a = _mm256_andnot_pd(sign, _mm256_loadu_pd(row + j));
+        const __m256d b = _mm256_andnot_pd(sign, _mm256_loadu_pd(row + j + 4));
+        lo = _mm256_add_pd(lo, a);
+        hi = _mm256_add_pd(hi, b);
+    }
+    _mm256_storeu_pd(lane, lo);
+    _mm256_storeu_pd(lane + 4, hi);
+#else
+    for (Index j = begin; j < body; j += kMassLanes)
+        for (Index l = 0; l < kMassLanes; ++l)
+            lane[l] += std::fabs(row[j + l]);
+#endif
+    for (Index j = body; j < end; ++j)
+        lane[j % kMassLanes] += std::fabs(row[j]);
+}
+
+/**
+ * Absolute mass of one linkage row in the fixed lane order above. The
+ * sweep's in-pass refresh and restoreState()'s rebuild both call this
+ * (or rowMassOfTouched, which yields the same bits), so an undisturbed
+ * run and a checkpoint-restored one cache bit-identical masses and
+ * make identical skip decisions at any threshold.
+ *
+ * The order is not the ascending-j order of a plain loop, so the value
+ * can differ from one in the last bits. Nothing depends on that: the
+ * mass feeds only the skip test `mass > threshold`, and at threshold 0
+ * that test asks only whether some |L[i][j]| is > 0, which a sum of
+ * nonnegative doubles answers the same way in every order.
  */
 inline Real
 rowMassOf(const Real *row, Index n)
 {
-    Real acc = 0.0;
-    for (Index j = 0; j < n; ++j)
-        acc += std::fabs(row[j]);
-    return acc;
+    Real lane[kMassLanes] = {};
+    addMassRange(row, 0, n, lane);
+    return foldMassLanes(lane);
 }
 
 /**
- * Column-sparse variant: sums |row[j]| over the ascending touched-column
- * list only. Bit-identical to rowMassOf when every unlisted column is
- * exactly zero (the touched-set invariant): the skipped terms are
- * fabs(+0.0) == +0.0 and the accumulator is nonnegative, so adding them
- * never changes a bit.
+ * Mass of a row whose unlisted columns are exactly zero (the
+ * touched-set invariant), given the ascending touched-column list.
+ * Every column still goes to lane j % kMassLanes in ascending j, so
+ * the result is bit-identical to rowMassOf: the skipped terms are
+ * fabs(+0.0) == +0.0 and every lane accumulator is nonnegative, so
+ * adding them never changes a bit of any lane, hence of the fold.
+ *
+ * When the listed columns fill at least 1/kMassLanes of their span
+ * (clustered allocation-order writes, or every column), the
+ * contiguous vector pass over the span is the cheaper one; otherwise
+ * the listed columns are added one by one.
  */
 inline Real
-rowMassOfSparse(const Real *row, const Index *cols, Index count)
+rowMassOfTouched(const Real *row, const Index *cols, Index count)
 {
-    Real acc = 0.0;
-    for (Index k = 0; k < count; ++k)
-        acc += std::fabs(row[cols[k]]);
-    return acc;
+    Real lane[kMassLanes] = {};
+    if (count != 0) {
+        const Index begin = cols[0] - cols[0] % kMassLanes;
+        const Index end = cols[count - 1] + 1;
+        if (end - begin <= count * kMassLanes) {
+            addMassRange(row, begin, end, lane);
+            return foldMassLanes(lane);
+        }
+    }
+    for (Index k = 0; k < count; ++k) {
+        const Index j = cols[k];
+        lane[j % kMassLanes] += std::fabs(row[j]);
+    }
+    return foldMassLanes(lane);
 }
 
 /**
@@ -331,8 +404,7 @@ TemporalLinkage::updateLinkage(const Vector &writeWeighting,
             }
         }
         row[i] = 0.0;
-        rowMass_[i] = fullCols ? rowMassOf(row, slots_)
-                               : rowMassOfSparse(row, cols, tcount);
+        rowMass_[i] = rowMassOfTouched(row, cols, tcount);
     }
 
     if (profiler) {
@@ -632,7 +704,7 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
 
         // HR.(1): update rows [blockStart, blockEnd) of L, exactly as
         // updateLinkage() does, refreshing each row's mass cache from
-        // the finished row (ascending j — restoreState()'s order).
+        // the finished row (the fixed lane order restoreState() uses).
         // Untouched columns hold +0.0 in row, p and w's touched test,
         // so iterating only the touched columns is bit-identical.
         for (Index i = blockStart; i < blockEnd; ++i) {
@@ -648,8 +720,7 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
                 }
             }
             row[i] = 0.0;
-            rowMass_[i] = fullCols ? rowMassOf(row, slots_)
-                                   : rowMassOfSparse(row, cols, tcount);
+            rowMass_[i] = rowMassOfTouched(row, cols, tcount);
         }
         const auto t1 = timed ? Clock::now() : Clock::time_point{};
 
@@ -773,21 +844,19 @@ TemporalLinkage::reset()
 void
 TemporalLinkage::rebuildMassAndMarkTouched()
 {
-    // The mass rebuild uses the sweep's own ascending-j summation, so a
-    // mid-episode restore makes bit-identical skip decisions to the
-    // undisturbed run it snapshots. Marking every column that holds a
-    // nonzero entry keeps the sweeps' "untouched columns are exactly
-    // zero" invariant even for hand-edited snapshots.
+    // The mass rebuild calls the sweep's own fixed-lane-order
+    // reduction, so a mid-episode restore caches bit-identical masses
+    // and makes the same skip decisions as the undisturbed run it
+    // snapshots. Marking every column that holds a nonzero entry keeps
+    // the sweeps' "untouched columns are exactly zero" invariant even
+    // for hand-edited snapshots; it is a separate pass over the
+    // (cache-resident) row so the reduction stays branch-free.
     for (Index i = 0; i < slots_; ++i) {
         const Real *row = linkage_.data() + i * slots_;
-        Real acc = 0.0;
-        for (Index j = 0; j < slots_; ++j) {
-            const Real a = std::fabs(row[j]);
-            acc += a;
-            if (a != 0.0)
+        rowMass_[i] = rowMassOf(row, slots_);
+        for (Index j = 0; j < slots_; ++j)
+            if (row[j] != 0.0)
                 touched_[j] = 1;
-        }
-        rowMass_[i] = acc;
     }
     touchedListValid_ = false;
 }

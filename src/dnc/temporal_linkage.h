@@ -128,9 +128,14 @@ class TemporalLinkage
 
     /**
      * Per-row mass cache: rowMass()[i] == sum_j |L[i][j]|, refreshed in
-     * the same pass that last wrote row i (bit-identical to a fresh
-     * recompute in ascending-j order — restoreState() relies on that).
-     * Rows skipped by the sweep keep their previous (still valid) mass.
+     * the same pass that last wrote row i. Every refresh and
+     * restoreState()'s rebuild sum in one fixed lane order (column j
+     * into lane j % 8, lanes folded in a fixed tree), so the cache is
+     * bit-identical to a fresh rebuild of the same matrix — a restored
+     * run makes the same skip decisions as an undisturbed one at any
+     * threshold. At threshold 0 the order cannot matter: a sum of
+     * nonnegative terms is > 0 exactly when some term is. Rows skipped
+     * by the sweep keep their previous (still valid) mass.
      */
     const Vector &rowMass() const { return rowMass_; }
 
@@ -201,8 +206,8 @@ class TemporalLinkage
 
     /**
      * Rebuild rowMass_ from the full matrix (restoreState's recompute,
-     * same ascending-j order as the sweeps' refresh) and mark every
-     * column holding a nonzero entry as touched, in one fused pass.
+     * the same fixed-lane-order reduction as the sweeps' refresh) and
+     * mark every column holding a nonzero entry as touched.
      */
     void rebuildMassAndMarkTouched();
 

@@ -19,6 +19,7 @@
 #define HIMA_SHARD_FAULT_H
 
 #include <cstdint>
+#include <mutex>
 
 namespace hima {
 
@@ -41,24 +42,32 @@ struct FaultSpec
     }
 };
 
-/** Per-worker fault state machine driven by the inbound frame stream. */
+/**
+ * Per-worker fault state machine driven by the inbound frame stream.
+ * arm() and dead() run on the test's or bench's thread while a socket
+ * or shm worker's serve thread runs onFrame(), so every field is
+ * guarded by one mutex. Firing stays deterministic in frame counts:
+ * arm() is called between frames, and the counters only move inside
+ * onFrame().
+ */
 class FaultInjector
 {
   public:
     /** Install a spec (resets the frame counters). */
     void arm(const FaultSpec &spec);
 
-    bool armed() const { return spec_.any(); }
-    bool dead() const { return dead_; }
+    bool dead() const;
 
     /**
      * Account one inbound frame; sleeps through a scheduled delay.
      *
      * @return true when the worker must die *now*, before serving it
+     *         (and on every frame after that)
      */
     bool onFrame(bool isStepFrame);
 
   private:
+    mutable std::mutex mu_;
     FaultSpec spec_;
     std::uint64_t frames_ = 0;
     std::uint64_t stepFrames_ = 0;

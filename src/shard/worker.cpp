@@ -16,7 +16,7 @@ ShardWorker::handleFrame(const std::uint8_t *data, std::size_t size,
     // Scripted fault: a dead worker never replies again, and serve()
     // exits so its socket closes — the coordinator observes exactly
     // what a crashed process would produce (silence, then EOF).
-    if (fault_.dead() || fault_.onFrame(type == MsgType::LaneStep))
+    if (fault_.onFrame(type == MsgType::LaneStep))
         return false;
     switch (type) {
     case MsgType::Hello:

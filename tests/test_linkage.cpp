@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <tuple>
 
 #include "common/random.h"
 #include "dnc/temporal_linkage.h"
@@ -187,6 +189,28 @@ referenceActiveRows(const Matrix &link, const Vector &w, Real threshold)
     return active;
 }
 
+/** The linkage matrix as the flat row-major snapshot restoreState() takes. */
+Vector
+flatLinkage(const TemporalLinkage &tl)
+{
+    Vector flat(tl.slots() * tl.slots());
+    std::copy(tl.linkage().data(), tl.linkage().data() + flat.size(),
+              flat.begin());
+    return flat;
+}
+
+/**
+ * A fresh instance restored from `tl`'s linkage, precedence and
+ * touched set: its rowMass() is restoreState()'s rebuild of the cache.
+ */
+TemporalLinkage
+restoredCopy(const TemporalLinkage &tl)
+{
+    TemporalLinkage copy(tl.slots(), tl.skipThreshold());
+    copy.restoreState(flatLinkage(tl), tl.precedence(), tl.touchedSlots());
+    return copy;
+}
+
 /**
  * A sparse write pattern: most steps write 1-3 slots drawn from a pool
  * that grows over time, and some steps write nothing (closed write
@@ -273,13 +297,10 @@ TEST_P(SparseLinkage, BitIdenticalToDenseWithPredictedSkips)
         EXPECT_TRUE(f1 == f2);
         EXPECT_TRUE(b1 == b2);
 
-        // The cache itself matches a fresh recompute of the matrix.
-        for (Index i = 0; i < n; ++i) {
-            Real mass = 0.0;
-            for (Index j = 0; j < n; ++j)
-                mass += std::fabs(sparse.linkage()(i, j));
-            EXPECT_DOUBLE_EQ(sparse.rowMass()[i], mass);
-        }
+        // The cache equals, bit for bit, the rebuild of an instance
+        // restored from this one's state.
+        EXPECT_TRUE(restoredCopy(sparse).rowMass() == sparse.rowMass())
+            << "step " << step;
 
         sparse.updatePrecedence(w, &profSparse);
         dense.updatePrecedence(w);
@@ -406,6 +427,194 @@ TEST(SparseLinkage, RestoreRebuildsActivityBitIdentical)
             }
         }
     }
+}
+
+/**
+ * The row-mass cache is an exact function of the matrix: after every
+ * step, rowMass() equals (==, no ULP tolerance) the rebuild of an
+ * instance restored from linkage(), precedence() and touchedSlots().
+ * That holds only if the sweep's dense refresh, its column-sparse
+ * refresh and the restore rebuild all sum in one order. Covered:
+ * scattered touched columns, a clustered touched span that does not
+ * start on a lane boundary, full columns, and a mid-run restore that
+ * must continue in lockstep with the undisturbed run. N = 13 and 1021
+ * are not multiples of the reduction's lane count; at N = 1024 the
+ * summation order changes the last bits of real rows (asserted, so
+ * the exact comparison cannot pass vacuously).
+ */
+class RowMassOrder
+    : public ::testing::TestWithParam<std::tuple<Index, Real>>
+{};
+
+TEST_P(RowMassOrder, CacheEqualsRestoreRebuildExactly)
+{
+    const Index n = std::get<0>(GetParam());
+    const Real threshold = std::get<1>(GetParam());
+    const Index heads = 4;
+    Rng rng(0x3a55 + n);
+    TemporalLinkage tl(n, threshold);
+    std::vector<Vector> prevReads(heads), f, b;
+
+    auto drawReads = [&] {
+        for (auto &pr : prevReads) {
+            pr = rng.uniformVector(n);
+            pr = scale(pr, 1.0 / pr.sum());
+        }
+    };
+    // Even steps run the fused sweep, odd steps the standalone update:
+    // both refresh the cache, through the dense or the sparse helper.
+    auto step = [&](TemporalLinkage &x, const Vector &w, int k,
+                    std::vector<Vector> &fo, std::vector<Vector> &bo) {
+        if (k % 2 == 0)
+            x.updateAndRead(w, prevReads, fo, bo, nullptr);
+        else
+            x.updateLinkage(w);
+        x.updatePrecedence(w);
+    };
+    auto expectCacheExact = [&](const char *phase, int k) {
+        EXPECT_TRUE(restoredCopy(tl).rowMass() == tl.rowMass())
+            << phase << " step " << k;
+    };
+
+    // Partly touched: writes land on odd slots from 3 up only, so every
+    // even column and slot 1 stay untouched and the sweeps take the
+    // sparse paths.
+    const Index offset = 3;
+    int k = 0;
+    for (; k < 8; ++k) {
+        Vector w(n);
+        for (int x = 0; x < 3; ++x)
+            w[offset + 2 * rng.uniformInt((n - offset) / 2)] =
+                rng.uniform(0.05, 0.3);
+        drawReads();
+        step(tl, w, k, f, b);
+        expectCacheExact("partial", k);
+    }
+    ASSERT_LT(tl.touchedSlots().size(), n);
+
+    // Clustered, then full columns: blocks of up to 64 slots at more
+    // than 1e-2 each, starting at slot 3 so the touched span is not
+    // lane-aligned (the sweeps sum it with the contiguous pass). Step
+    // `blocks` writes slots 0-2, after which every slot is touched at
+    // either threshold and the sweeps take the dense paths. Halfway
+    // through, restore a wrecked twin from a snapshot and run it in
+    // lockstep.
+    const Index block = std::min<Index>(n - offset, 64);
+    const Index blocks = (n - offset + block - 1) / block;
+    const int restoreAt = k + static_cast<int>(blocks) / 2;
+    TemporalLinkage twin(n, threshold);
+    std::vector<Vector> fT, bT;
+    bool twinLive = false;
+    for (Index s = 0; s < blocks + 4; ++s, ++k) {
+        Vector w(n);
+        if (s == blocks) {
+            ASSERT_EQ(tl.touchedSlots().size(), n - offset);
+            for (Index i = 0; i < offset; ++i)
+                w[i] = 0.3;
+        } else {
+            const Index first = offset + (s % blocks) * block;
+            for (Index i = first; i < std::min(n, first + block); ++i)
+                w[i] = 0.9 / static_cast<Real>(block);
+        }
+        if (k == restoreAt) {
+            Vector wreck = rng.uniformVector(n);
+            wreck = scale(wreck, 0.9 / wreck.sum());
+            twin.updateLinkage(wreck);
+            twin.updatePrecedence(wreck);
+            twin.restoreState(flatLinkage(tl), tl.precedence(),
+                              tl.touchedSlots());
+            ASSERT_TRUE(twin.rowMass() == tl.rowMass());
+            twinLive = true;
+        }
+        drawReads();
+        step(tl, w, k, f, b);
+        expectCacheExact("full", k);
+        if (twinLive) {
+            step(twin, w, k, fT, bT);
+            ASSERT_TRUE(twin.linkage() == tl.linkage()) << "step " << k;
+            ASSERT_TRUE(twin.rowMass() == tl.rowMass()) << "step " << k;
+            if (k % 2 == 0)
+                for (Index h = 0; h < heads; ++h) {
+                    EXPECT_TRUE(fT[h] == f[h]) << "forward head " << h;
+                    EXPECT_TRUE(bT[h] == b[h]) << "backward head " << h;
+                }
+        }
+    }
+    ASSERT_TRUE(twinLive);
+    ASSERT_EQ(tl.touchedSlots().size(), n);
+
+    if (n == 1024) {
+        Index orderSensitive = 0;
+        for (Index i = 0; i < n; ++i) {
+            Real up = 0.0, down = 0.0;
+            for (Index j = 0; j < n; ++j) {
+                up += std::fabs(tl.linkage()(i, j));
+                down += std::fabs(tl.linkage()(i, n - 1 - j));
+            }
+            if (up != down)
+                ++orderSensitive;
+        }
+        EXPECT_GT(orderSensitive, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SlotsAndThresholds, RowMassOrder,
+    ::testing::Combine(::testing::Values(Index{13}, Index{1021},
+                                         Index{1024}),
+                       ::testing::Values(0.0, 1e-2)));
+
+/**
+ * Threshold 0 skips only rows whose mass is exactly zero, whatever the
+ * summation order: a row whose only nonzero entries are the smallest
+ * subnormal, spread over three lanes of the mass reduction (one in its
+ * scalar tail), still has mass > 0, is swept, and reads out
+ * bit-identically to the dense sweep.
+ */
+TEST(SparseLinkage, SubnormalOnlyRowIsSweptAtThresholdZero)
+{
+    const Index n = 21; // a 16-column body plus a 5-column tail
+    const Index heads = 4;
+    const Index r = 6;
+    const Real tiny = std::numeric_limits<Real>::denorm_min();
+    const std::vector<Index> cols = {1, 10, 19}; // lanes 1, 2 and 3
+    Vector flat(n * n), prec(n);
+    for (Index j : cols)
+        flat[r * n + j] = tiny;
+
+    TemporalLinkage sparse(n);
+    TemporalLinkage dense(n, 0.0, true);
+    sparse.restoreState(flat, prec, cols);
+    dense.restoreState(flat, prec, cols);
+    EXPECT_GT(sparse.rowMass()[r], 0.0);
+    EXPECT_EQ(sparse.activeRowCount(), 1u);
+
+    // Head 0 reads column 10 (forward[r] == tiny), head 1 reads row r
+    // (backward picks up the row), heads 2-3 read spread weightings.
+    std::vector<Vector> prevReads = {oneHot(n, 10), oneHot(n, r),
+                                     Vector(n, 1.0 / n), oneHot(n, 19)};
+    std::vector<Vector> fS, bS, fD, bD;
+    KernelProfiler prof;
+    const Vector w(n); // closed write gate: activity comes from mass alone
+    sparse.updateAndRead(w, prevReads, fS, bS, &prof);
+    dense.updateAndRead(w, prevReads, fD, bD, nullptr);
+    EXPECT_EQ(prof.at(Kernel::Linkage).skippedRows, n - 1);
+    EXPECT_EQ(fS[0][r], tiny);
+    EXPECT_EQ(bS[1][10], tiny);
+    ASSERT_TRUE(sparse.linkage() == dense.linkage());
+    for (Index h = 0; h < heads; ++h) {
+        EXPECT_TRUE(fS[h] == fD[h]) << "forward head " << h;
+        EXPECT_TRUE(bS[h] == bD[h]) << "backward head " << h;
+    }
+
+    Vector f1, f2, b1, b2;
+    sparse.forwardWeightingInto(prevReads[0], f1);
+    dense.forwardWeightingInto(prevReads[0], f2);
+    sparse.backwardWeightingInto(prevReads[1], b1);
+    dense.backwardWeightingInto(prevReads[1], b2);
+    EXPECT_EQ(f1[r], tiny);
+    EXPECT_TRUE(f1 == f2);
+    EXPECT_TRUE(b1 == b2);
 }
 
 } // namespace

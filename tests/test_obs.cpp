@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -43,6 +44,22 @@ void *
 operator new[](std::size_t size)
 {
     return ::operator new(size);
+}
+
+// The nothrow forms (std::stable_sort's temporary buffer) must come
+// from the same malloc as the replaced deletes free into, or ASan
+// reports an alloc-dealloc mismatch.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocationCount.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return ::operator new(size, std::nothrow);
 }
 
 void *
