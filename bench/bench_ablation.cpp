@@ -1,7 +1,7 @@
 /**
  * @file
- * Ablation harness for the design choices DESIGN.md calls out beyond the
- * paper's own Fig. 11(a) ladder:
+ * Ablation harness for design choices beyond the paper's own Fig. 11(a)
+ * ladder:
  *
  *   1. stream sharing (tree multicast / in-network reduction) on vs off
  *      at the NoC level — the mechanism behind HiMA's broadcast/collect
@@ -73,19 +73,24 @@ ablationLinkWidth()
     std::cout << "\nAblation 3: NoC link width vs HiMA-DNC step latency "
                  "(Nt = 16)\n";
     Table table({"Link (words/flit)", "Cycles/step", "vs 8-word"});
-    Real base = 0.0;
-    for (Index words : {1, 2, 4, 8, 16}) {
+    // Every width's cycle count first: the ratio column needs the
+    // 8-word base before any row can be printed.
+    const Index widths[] = {1, 2, 4, 8, 16};
+    Cycle cycles[std::size(widths)];
+    Cycle base = 0;
+    for (std::size_t k = 0; k < std::size(widths); ++k) {
         ArchConfig cfg = himaDncConfig(16);
-        cfg.linkWords = words;
+        cfg.linkWords = widths[k];
         HimaEngine engine(cfg);
-        const Cycle cycles = engine.simulateStep().totalCycles;
-        if (words == 8)
-            base = static_cast<Real>(cycles);
-        table.addRow({std::to_string(words), fmtCount(cycles), ""});
+        cycles[k] = engine.simulateStep().totalCycles;
+        if (widths[k] == 8)
+            base = cycles[k];
     }
-    // Fill the ratio column in a second pass for alignment simplicity.
+    for (std::size_t k = 0; k < std::size(widths); ++k)
+        table.addRow({std::to_string(widths[k]), fmtCount(cycles[k]),
+                      fmtRatio(static_cast<Real>(cycles[k]) /
+                               static_cast<Real>(base))});
     table.print(std::cout);
-    (void)base;
 }
 
 void

@@ -4,7 +4,8 @@
  * suite, for Nt in {4, 16, 32} (top panel) and for usage skimming rates
  * K in {0%, 20%, 50%} at Nt = 16 (bottom panel).
  *
- * Metric (see DESIGN.md substitution table): both models run identical
+ * Metric (the offline stand-in for the paper's bAbI error; see
+ * workload/retrieval.h): both models run identical
  * scripted episodes; "error over DNC" is the retrieval error rate of the
  * DNC-D/skimmed configuration minus the monolithic DNC's on the same
  * episodes. The paper's qualitative findings to reproduce: error grows

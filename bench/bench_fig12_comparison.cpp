@@ -7,7 +7,7 @@
  *       of HiMA (Nt = 16) against Farm, MANNA, GPU and CPU.
  *
  * HiMA numbers are measured from the engine; Farm/MANNA/GPU/CPU are the
- * published anchors reconstructed in arch/baselines.h (see DESIGN.md).
+ * published anchors reconstructed in arch/baselines.h.
  * Area is normalized to 40 nm by quadratic feature-size scaling, and
  * speedups are normalized to the GPU exactly as in the paper.
  */

@@ -8,8 +8,8 @@
  * host with per-kernel wall-clock timers.
  *
  * GPU series: the analytic parallel-processor model of
- * arch/baselines.h, driven by the same measured op counts (see DESIGN.md
- * substitution table; no GPU is available offline).
+ * arch/baselines.h, driven by the same measured op counts (no GPU is
+ * available offline).
  *
  * Paper reference points: GPU breakdown 72% HistWr / 9% HistRd /
  * 12% Content / 4% Mem / 3% NN; CPU 10% / 4% / 22% / 53% / 11%-ish with

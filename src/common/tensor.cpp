@@ -255,6 +255,89 @@ matTVecSparseInto(const Matrix &m, const Vector &x, const Vector &rowGate,
     return skipped;
 }
 
+namespace {
+
+/** y[c] += r0[c]*b0, then r1[c]*b1, r2[c]*b2, r3[c]*b3: rows ascending. */
+inline void
+addFourRows(Real *__restrict y, const Real *__restrict r0,
+            const Real *__restrict r1, const Real *__restrict r2,
+            const Real *__restrict r3, Real b0, Real b1, Real b2, Real b3,
+            Index cols)
+{
+    for (Index c = 0; c < cols; ++c) {
+        Real a = y[c];
+        a += r0[c] * b0;
+        a += r1[c] * b1;
+        a += r2[c] * b2;
+        a += r3[c] * b3;
+        y[c] = a;
+    }
+}
+
+} // namespace
+
+Index
+matTVecHeadsSparseInto(const Matrix &m, const std::vector<Vector> &xs,
+                       const Vector &rowGate, Real threshold,
+                       std::vector<Vector> &ys)
+{
+    const Index heads = xs.size();
+    const Index rows = m.rows();
+    const Index cols = m.cols();
+    HIMA_ASSERT(ys.size() == heads, "matTVecHeadsSparseInto: %zu outputs "
+                "for %zu heads", ys.size(), heads);
+    HIMA_ASSERT(rowGate.size() == rows,
+                "matTVecHeadsSparseInto: gate %zu != rows %zu",
+                rowGate.size(), rows);
+    for (Index h = 0; h < heads; ++h) {
+        HIMA_ASSERT(xs[h].size() == rows,
+                    "matTVecHeadsSparseInto: rows %zu != x %zu", rows,
+                    xs[h].size());
+        ys[h].resize(cols);
+        ys[h].fill(0.0);
+    }
+    const Real *pm = m.data();
+    const Real *pg = rowGate.data();
+    Index skipped = 0;
+    // Visited rows go four at a time (consecutive among the visited, not
+    // necessarily adjacent in M): the four rows stay in L1 while every
+    // head folds them in, and each output word is loaded and stored
+    // once per four rows instead of once per row.
+    Index r = 0;
+    for (;;) {
+        Index block[4];
+        Index k = 0;
+        for (; r < rows && k < 4; ++r) {
+            if (pg[r] <= threshold)
+                ++skipped;
+            else
+                block[k++] = r;
+        }
+        if (k == 4) {
+            const Real *r0 = pm + block[0] * cols;
+            const Real *r1 = pm + block[1] * cols;
+            const Real *r2 = pm + block[2] * cols;
+            const Real *r3 = pm + block[3] * cols;
+            for (Index h = 0; h < heads; ++h) {
+                const Real *px = xs[h].data();
+                addFourRows(ys[h].data(), r0, r1, r2, r3, px[block[0]],
+                            px[block[1]], px[block[2]], px[block[3]], cols);
+            }
+            continue;
+        }
+        for (Index j = 0; j < k; ++j) {
+            const Real *row = pm + block[j] * cols;
+            for (Index h = 0; h < heads; ++h) {
+                const Real xv = xs[h][block[j]];
+                Real *py = ys[h].data();
+                for (Index c = 0; c < cols; ++c)
+                    py[c] += row[c] * xv;
+            }
+        }
+        return skipped;
+    }
+}
+
 void
 outerAccumulate(const Vector &a, const Vector &b, Real s, Matrix &m)
 {

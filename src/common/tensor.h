@@ -218,6 +218,18 @@ void matTVecInto(const Matrix &m, const Vector &x, Vector &y);
  */
 Index matTVecSparseInto(const Matrix &m, const Vector &x,
                         const Vector &rowGate, Real threshold, Vector &y);
+/**
+ * ys[h] = M^T xs[h] for every head h in one pass over M, with
+ * matTVecSparseInto's row gate; returns the number of rows skipped (the
+ * same for every head). Each visited row is read once for all heads,
+ * and every ys[h][c] still accumulates its visited rows in ascending
+ * order from +0.0, so each output is bit-identical to a separate
+ * matTVecSparseInto(m, xs[h], rowGate, threshold, ys[h]) call. ys must
+ * hold xs.size() vectors; each is resized to M's width.
+ */
+Index matTVecHeadsSparseInto(const Matrix &m, const std::vector<Vector> &xs,
+                             const Vector &rowGate, Real threshold,
+                             std::vector<Vector> &ys);
 /** m += s * a b^T; m must already have shape rows(a) x rows(b). */
 void outerAccumulate(const Vector &a, const Vector &b, Real s, Matrix &m);
 /** out = A B; out must not alias A or B. */

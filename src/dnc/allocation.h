@@ -56,14 +56,21 @@ Vector allocationWeighting(const Vector &usage,
 /**
  * Destination-passing allocation weighting.
  *
- * With a null `sorter`, the reference backend (zero modeled cycles) runs
- * as an in-place std::sort on `recordScratch`, so a steady-state call
- * with skimK == 0 performs no heap allocation; the permutation is
- * identical to referenceUsageSort's stable sort because recordLess is a
- * strict total order. A non-null sorter goes through the pluggable
+ * With a null `sorter`, the reference backend (zero modeled cycles) sorts
+ * `recordScratch` in place, so a steady-state call with skimK == 0
+ * performs no heap allocation. Without skimming it is adaptive: when the
+ * scratch already holds n records (the previous call's sorted order),
+ * their keys are refreshed from `usage` and the nearly sorted result is
+ * insertion-sorted, with std::sort taking over past a shift budget of
+ * about n log2 n. The permutation is identical to referenceUsageSort's
+ * stable sort from any starting order because recordLess is a strict
+ * total order. A non-null sorter goes through the pluggable
  * std::function exactly as the value-returning API does.
  *
- * @param recordScratch reusable (key, index) buffer, grown on first use
+ * @param recordScratch reusable (key, index) buffer, grown on first
+ *                      use; between calls with the same usage length
+ *                      it must hold the previous call's records (or be
+ *                      cleared)
  * @param wa            result weighting (resized and overwritten)
  */
 void allocationWeightingInto(const Vector &usage, const UsageSortFn *sorter,

@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/math_util.h"
+#include "dnc/row_lanes.h"
 
 namespace hima {
 
@@ -87,14 +88,38 @@ ContentAddressing::weightingInto(const Matrix &memory, const Vector &key,
         constexpr Real eps = 1e-6;
         const Real *pkey = key.data();
         Real *ps = scores.data();
-        // Four rows at a time: each row keeps its own accumulator (and
-        // its own j-ascending chain, so results are bit-identical to
-        // the one-row loop); the four independent chains overlap in the
-        // FPU pipeline instead of serializing on add latency. Run
-        // alignment does not affect bits, so the sparse path below can
-        // reuse the same bodies over runs of consecutive active rows.
+        // Every row's dot is one c-ascending chain, whichever body runs
+        // it, so the bodies agree bit for bit. With AVX2 and an even
+        // width, blocks of 16 rows run as four row-parallel
+        // accumulators (row_lanes.h: one lane per row, four chains per
+        // vector add) and the sharpening runs lane for lane. Shorter
+        // runs, odd widths and non-AVX2 builds take four rows at a
+        // time, one scalar accumulator each, so four chains still
+        // overlap instead of serializing on add latency. Run alignment
+        // does not affect bits, so the sparse path below reuses the
+        // same bodies over runs of consecutive active rows.
         const auto scoreRun = [&](Index beg, Index end) {
             Index i = beg;
+#if defined(__AVX2__)
+            if (w % 2 == 0) {
+                const __m256d s = _mm256_set1_pd(strength);
+                const __m256d kn = _mm256_set1_pd(keyNorm);
+                const __m256d e = _mm256_set1_pd(eps);
+                for (; i + 4 * kRowLanes <= end; i += 4 * kRowLanes) {
+                    __m256d acc[4];
+                    rowLaneDots<4, false>(memory.rowPtr(i), w, pkey, w, acc);
+                    for (Index g = 0; g < 4; ++g) {
+                        const Index r = i + g * kRowLanes;
+                        const __m256d den = _mm256_add_pd(
+                            _mm256_mul_pd(_mm256_loadu_pd(rowNorms + r), kn),
+                            e);
+                        _mm256_storeu_pd(
+                            ps + r,
+                            _mm256_div_pd(_mm256_mul_pd(s, acc[g]), den));
+                    }
+                }
+            }
+#endif
             for (; i + 4 <= end; i += 4) {
                 const Real *r0 = memory.rowPtr(i + 0);
                 const Real *r1 = memory.rowPtr(i + 1);

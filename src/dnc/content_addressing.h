@@ -62,11 +62,15 @@ class ContentAddressing
      * default threshold of 0 only never-written rows are skipped, and
      * their score is exactly what the dense scan computes (an all-zero
      * row's dot is +0.0 and +0.0/eps sharpens to +0.0), so the result is
-     * bit-identical; the softmax still runs over all N rows. Profiler
-     * charges still reflect the full hardware Normalize/Similarity cost
-     * (software savings land in skippedRows/skippedOps) — the cache is
-     * a simulator-speed optimization, not a change to the modeled
-     * architecture. With a null cache the norms are recomputed and every
+     * bit-identical; the softmax still runs over all N rows. Every
+     * scored row's dot is one c-ascending chain whichever body computes
+     * it (row-parallel AVX2 blocks of 16 rows for even widths, four
+     * scalar rows at a time otherwise), so the scores do not depend on
+     * the build's SIMD width or on where skipped rows break the runs.
+     * Profiler charges still reflect the full hardware Normalize/
+     * Similarity cost (software savings land in skippedRows/skippedOps)
+     * — the cache is a simulator-speed optimization, not a change to
+     * the modeled architecture. With a null cache the norms are recomputed and every
      * row is scored, exactly as the reference path does.
      *
      * @param cachedRowNorms length-N row-norm cache, or nullptr

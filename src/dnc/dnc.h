@@ -38,8 +38,8 @@ class Dnc
     /**
      * Drive the memory unit directly with a scripted interface vector,
      * bypassing the controller. The workload harness uses this to run
-     * write/read scripts with known ground truth (see DESIGN.md on the
-     * bAbI substitution).
+     * write/read scripts with known ground truth (the offline stand-in
+     * for the paper's bAbI evaluation; see workload/retrieval.h).
      */
     MemoryReadout stepInterface(const InterfaceVector &iface);
 

@@ -14,7 +14,7 @@
  * tile's alpha is proportional to exp(beta * best cosine match) between
  * the read key and that tile's memory rows — the tile that actually holds
  * the matching record dominates the merge, which is what the trained
- * gating converges to for retrieval workloads (see DESIGN.md).
+ * gating converges to for retrieval workloads.
  *
  * The stepping surface is the abstract TileMemory: DncD is the
  * in-process implementation (tiles on a thread pool); each lane of the

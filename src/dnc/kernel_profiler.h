@@ -117,14 +117,17 @@ class KernelProfiler
 };
 
 /**
- * RAII wall-clock scope: charges elapsed nanoseconds and one invocation to
- * the kernel on destruction.
+ * RAII wall-clock scope: charges elapsed nanoseconds and `invocations`
+ * logical invocations (one by default) to the kernel on destruction. A
+ * fused pass that does the work of several kernel calls passes their
+ * count, so Table 1's invocation counts stay per logical call.
  */
 class KernelScope
 {
   public:
-    KernelScope(KernelProfiler &profiler, Kernel kernel)
-        : profiler_(profiler), kernel_(kernel),
+    KernelScope(KernelProfiler &profiler, Kernel kernel,
+                std::uint64_t invocations = 1)
+        : profiler_(profiler), kernel_(kernel), invocations_(invocations),
           start_(std::chrono::steady_clock::now())
     {}
 
@@ -132,7 +135,7 @@ class KernelScope
     {
         const auto elapsed = std::chrono::steady_clock::now() - start_;
         auto &c = profiler_.at(kernel_);
-        ++c.invocations;
+        c.invocations += invocations_;
         c.nanoseconds += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                 .count());
@@ -144,6 +147,7 @@ class KernelScope
   private:
     KernelProfiler &profiler_;
     Kernel kernel_;
+    std::uint64_t invocations_;
     std::chrono::steady_clock::time_point start_;
 };
 

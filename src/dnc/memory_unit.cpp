@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "approx/fixed_point.h"
 #include "common/math_util.h"
+#include "dnc/row_lanes.h"
 
 namespace hima {
 
@@ -127,15 +129,18 @@ MemoryUnit::softWrite(const InterfaceVector &iface, Vector &writeWeighting)
 }
 
 void
-MemoryUnit::memoryWrite(const Vector &writeWeighting, const Vector &erase,
-                        const Vector &write)
+memoryWriteRows(Matrix &memory, Vector &rowNorms,
+                const Vector &writeWeighting, const Vector &erase,
+                const Vector &write, Real threshold, bool fixed)
 {
-    KernelScope scope(profiler_, Kernel::MemoryWrite);
-
-    const Index n = config_.memoryRows;
-    const Index w = config_.memoryWidth;
-    const Real threshold = config_.writeSkipThreshold;
-    const bool fixed = config_.fixedPoint;
+    const Index n = memory.rows();
+    const Index w = memory.cols();
+    HIMA_ASSERT(rowNorms.size() == n && writeWeighting.size() == n,
+                "memory write: %zu norms / %zu weights for %zu rows",
+                rowNorms.size(), writeWeighting.size(), n);
+    HIMA_ASSERT(erase.size() == w && write.size() == w,
+                "memory write: erase %zu / write %zu for width %zu",
+                erase.size(), write.size(), w);
 
     // M <- M .* (E - w_w e^T) + w_w v^T, computed row-at-a-time: the
     // outer products never materialize, matching the PE-array dataflow.
@@ -151,7 +156,34 @@ MemoryUnit::memoryWrite(const Vector &writeWeighting, const Vector &erase,
         const Real wi = ww[i];
         if (wi <= threshold)
             continue;
-        Real *row = memory_.rowPtr(i);
+#if defined(__AVX2__)
+        // Runs of consecutive written rows, 4 to 16 at once (float mode,
+        // even width): the element-wise update is the scalar expression
+        // evaluated word for word, now free to vectorize, and the norms
+        // then run row-parallel (row_lanes.h), each lane the row's own
+        // c-ascending acc += v*v chain. The cache therefore gets the
+        // scalar loop's bits.
+        if (!fixed && w % 2 == 0) {
+            Index run = 1;
+            while (run < 4 * kRowLanes && i + run < n &&
+                   ww[i + run] > threshold)
+                ++run;
+            run -= run % kRowLanes;
+            if (run > 0) {
+                for (Index k = 0; k < run; ++k) {
+                    const Real wk = ww[i + k];
+                    Real *row = memory.rowPtr(i + k);
+                    for (Index c = 0; c < w; ++c)
+                        row[c] = row[c] * (1.0 - wk * pe[c]) + wk * pv[c];
+                }
+                rowLaneNormsInto(memory.rowPtr(i), w, w, run,
+                                 rowNorms.data() + i);
+                i += run - 1;
+                continue;
+            }
+        }
+#endif
+        Real *row = memory.rowPtr(i);
         Real acc = 0.0;
         for (Index c = 0; c < w; ++c) {
             Real v = row[c] * (1.0 - wi * pe[c]) + wi * pv[c];
@@ -160,11 +192,22 @@ MemoryUnit::memoryWrite(const Vector &writeWeighting, const Vector &erase,
             row[c] = v;
             acc += v * v;
         }
-        rowNorms_[i] = std::sqrt(acc);
+        rowNorms[i] = std::sqrt(acc);
     }
+}
+
+void
+MemoryUnit::memoryWrite(const Vector &writeWeighting, const Vector &erase,
+                        const Vector &write)
+{
+    KernelScope scope(profiler_, Kernel::MemoryWrite);
+    memoryWriteRows(memory_, rowNorms_, writeWeighting, erase, write,
+                    config_.writeSkipThreshold, config_.fixedPoint);
 
     // The hardware writes (and, in fixed-point mode, requantizes) every
     // row each step; charge the full cost regardless of software skips.
+    const Index n = config_.memoryRows;
+    const Index w = config_.memoryWidth;
     auto &counters = profiler_.at(Kernel::MemoryWrite);
     counters.elementOps += 4 * static_cast<std::uint64_t>(n) * w;
     counters.extMemAccesses += 2 * static_cast<std::uint64_t>(n) * w;
@@ -205,33 +248,37 @@ MemoryUnit::softRead(const InterfaceVector &iface, MemoryReadout &out)
         }
         if (config_.fixedPoint)
             quantizeInPlace(weighting);
+    }
 
-        // MR: v_r = M^T w_r. Rows whose cached norm is at or below the
-        // read skip threshold are never-written (all-zero) rows at the
-        // default threshold of 0: their contribution to every output
-        // word is +0.0 exactly, so skipping them is bit-identical (the
-        // weighting is nonnegative). The hardware still reads all N
-        // rows — only simulator work is skipped.
-        {
-            KernelScope scope(profiler_, Kernel::MemoryRead);
-            Index skipped = 0;
-            if (config_.linkageDenseSweep)
-                matTVecInto(memory_, weighting, out.readVectors[head]);
-            else
-                skipped = matTVecSparseInto(memory_, weighting, rowNorms_,
-                                            config_.readSkipThreshold,
-                                            out.readVectors[head]);
-            auto &c = profiler_.at(Kernel::MemoryRead);
-            c.macOps += static_cast<std::uint64_t>(n) * w;
-            c.extMemAccesses += static_cast<std::uint64_t>(n) * w;
-            c.stateMemAccesses += n;
-            c.skippedRows += skipped;
-            c.skippedOps += static_cast<std::uint64_t>(skipped) * w;
-        }
+    // MR: v_h = M^T w_h for every head in one pass over M. Rows whose
+    // cached norm is at or below the read skip threshold are
+    // never-written (all-zero) rows at the default threshold of 0:
+    // their contribution to every output word is +0.0 exactly, so
+    // skipping them is bit-identical (the weightings are nonnegative).
+    // The dense escape gates nothing (no norm is <= -inf). Each output
+    // word keeps its row-ascending chain, so the result equals R
+    // separate per-head reads bit for bit, and so do the counters: the
+    // hardware reads all N rows once per head.
+    {
+        KernelScope scope(profiler_, Kernel::MemoryRead, r);
+        const Real gate = config_.linkageDenseSweep
+                              ? -std::numeric_limits<Real>::infinity()
+                              : config_.readSkipThreshold;
+        const std::uint64_t skipped = matTVecHeadsSparseInto(
+            memory_, out.readWeightings, rowNorms_, gate, out.readVectors);
+        auto &c = profiler_.at(Kernel::MemoryRead);
+        c.macOps += static_cast<std::uint64_t>(r) * n * w;
+        c.extMemAccesses += static_cast<std::uint64_t>(r) * n * w;
+        c.stateMemAccesses += static_cast<std::uint64_t>(r) * n;
+        c.skippedRows += r * skipped;
+        c.skippedOps += r * skipped * w;
+    }
+
+    for (Index head = 0; head < r; ++head) {
         if (config_.fixedPoint)
             quantizeInPlace(out.readVectors[head]);
-
-        std::copy(weighting.begin(), weighting.end(),
+        std::copy(out.readWeightings[head].begin(),
+                  out.readWeightings[head].end(),
                   readWeightings_[head].begin());
     }
 }
@@ -246,6 +293,9 @@ MemoryUnit::reset()
     writeWeighting_.fill(0.0);
     for (auto &rw : readWeightings_)
         rw.fill(0.0);
+    // The usage re-sort starts each episode from index order, which is
+    // already sorted for the all-zero usage above.
+    sortRecords_.clear();
 }
 
 void

@@ -48,10 +48,12 @@ struct MemoryReadout
 
 /**
  * The complete recurrent state of one MemoryUnit, flattened for
- * checkpoint/restore. Everything a step depends on is here — the
- * Workspace, profiler and sort scratch are derived per step, so a
- * restore of this snapshot followed by the same interface stream
- * reproduces the original run bit-for-bit (tested).
+ * checkpoint/restore. Everything a step's results depend on is here —
+ * the Workspace and profiler are derived per step, and the usage-sort
+ * scratch only seeds the re-sort's starting order, which cannot change
+ * the sorted result — so a restore of this snapshot followed by the
+ * same interface stream reproduces the original run bit-for-bit
+ * (tested).
  *
  * Matrices are stored row-major in flat Vectors so the shard wire codec
  * can move them with the bulk Real-array path; `sizeFor()` pre-sizes
@@ -80,6 +82,19 @@ struct MemoryTileState
     /** Resize every buffer for `config`'s shapes (keeps capacity). */
     void sizeFor(const DncConfig &config);
 };
+
+/**
+ * MW kernel: M <- M .* (E - w e^T) + w v^T on every row whose write
+ * weight exceeds `threshold`, refreshing that row's cached L2 norm;
+ * other rows and their norms are left untouched. With `fixed`, every
+ * written word is requantized through Q16.16 before it is stored and
+ * squared. Each norm is the row's serial c-ascending `acc += v*v` chain
+ * and a square root, whether the scalar loop or the row-parallel AVX2
+ * body computes it, so the cache is bit-identical to a recompute.
+ */
+void memoryWriteRows(Matrix &memory, Vector &rowNorms,
+                     const Vector &writeWeighting, const Vector &erase,
+                     const Vector &write, Real threshold, bool fixed);
 
 /** The stateful DNC memory unit. */
 class MemoryUnit
@@ -169,7 +184,7 @@ class MemoryUnit
     std::vector<Vector> readWeightings_; ///< previous read weightings, R x N
 
     Workspace ws_;                      ///< hot-path scratch buffers
-    std::vector<SortRecord> sortRecords_; ///< usage-sort scratch
+    std::vector<SortRecord> sortRecords_; ///< last usage order (re-sort seed)
 
     KernelProfiler profiler_;
 };

@@ -108,9 +108,10 @@ class TemporalLinkage
      * matrix moves through DRAM once per step instead of once per
      * kernel invocation (2 + 2R passes), which is what the O(N^2)
      * kernels are bound by at large N. Profiler op counts and
-     * invocation counts match the separate calls; wall-clock time is
-     * split between the Linkage and ForwardBackward scopes at block
-     * granularity.
+     * invocation counts match the separate calls. One clock pair times
+     * the whole sweep, and the time is split between Linkage and
+     * ForwardBackward in proportion to their op counts for the call
+     * (4 : 2R); both are History-based Read in Fig. 4.
      *
      * Does not touch the precedence vector: call updatePrecedence()
      * afterwards, exactly as with the separate kernels.

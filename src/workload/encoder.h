@@ -4,9 +4,9 @@
  * embeddings and decodes noisy read vectors back to the nearest token.
  *
  * The synthetic QA suite (our offline substitution for bAbI — see
- * DESIGN.md) stores codebook entries into DNC memory and judges retrieval
- * by nearest-codebook decoding, so the decoder is the "answer layer" of
- * the workload.
+ * workload/retrieval.h) stores codebook entries into DNC memory and
+ * judges retrieval by nearest-codebook decoding, so the decoder is the
+ * "answer layer" of the workload.
  */
 
 #ifndef HIMA_WORKLOAD_ENCODER_H

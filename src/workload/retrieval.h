@@ -1,7 +1,7 @@
 /**
  * @file
  * Scripted-interface retrieval harness — the offline substitution for the
- * bAbI evaluation (see DESIGN.md).
+ * bAbI evaluation.
  *
  * Episodes are sequences of scripted interface vectors with known ground
  * truth: WRITE steps store a (key, value) pair into DNC memory through

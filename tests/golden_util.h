@@ -5,9 +5,10 @@
  *
  * The pattern every fast path in this repo must satisfy is "bit-identical
  * to the reference model" — not approximately equal, identical. This
- * header centralizes the machinery: deterministic input-stream
- * generation, a randomized-but-valid scripted interface builder (shared
- * by the memory-unit, DNC-D and determinism suites), and a lockstep
+ * header centralizes the machinery: one-row scalar references for the
+ * memory kernels' SIMD bodies, deterministic input-stream generation, a
+ * randomized-but-valid scripted interface generator (shared by the
+ * memory-unit, DNC-D and determinism suites), and a lockstep
  * runner that steps a BatchedDnc next to batchSize independent reference
  * Dnc instances and asserts bit-equality of every output and every piece
  * of per-lane state at every step.
@@ -16,17 +17,59 @@
 #ifndef HIMA_TESTS_GOLDEN_UTIL_H
 #define HIMA_TESTS_GOLDEN_UTIL_H
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "approx/fixed_point.h"
 #include "common/random.h"
 #include "dnc/dnc.h"
 #include "serve/batched_dnc.h"
 
 namespace hima {
 namespace golden {
+
+// ---------------------------------------------------------------------
+// One-row scalar references. Every SIMD or blocked body of a memory
+// kernel must reproduce these serial chains bit for bit.
+// ---------------------------------------------------------------------
+
+/**
+ * Content addressing's sharpened cosine score of one row: the serial
+ * c-ascending dot, then strength * dot / (rowNorm * keyNorm + eps).
+ */
+inline Real
+refContentScore(const Real *row, const Real *key, Index w, Real strength,
+                Real rowNorm, Real keyNorm)
+{
+    constexpr Real eps = 1e-6;
+    Real acc = 0.0;
+    for (Index c = 0; c < w; ++c)
+        acc += row[c] * key[c];
+    return strength * acc / (rowNorm * keyNorm + eps);
+}
+
+/**
+ * The memory write of one row with weight wi (erase then add, optional
+ * Q16.16 requantize); returns the row's refreshed L2 norm, the serial
+ * c-ascending sum of squares of the stored words.
+ */
+inline Real
+refWriteRow(Real *row, Real wi, const Real *erase, const Real *write,
+            Index w, bool fixed)
+{
+    Real acc = 0.0;
+    for (Index c = 0; c < w; ++c) {
+        Real v = row[c] * (1.0 - wi * erase[c]) + wi * write[c];
+        if (fixed)
+            v = Fix32::fromReal(v).toReal();
+        row[c] = v;
+        acc += v * v;
+    }
+    return std::sqrt(acc);
+}
 
 /** A randomized but valid interface vector (mixed write/read traffic). */
 inline InterfaceVector

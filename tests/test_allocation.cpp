@@ -3,6 +3,10 @@
  * Tests for the allocation weighting (HW.(3)) and its sorter backends.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -85,6 +89,84 @@ TEST(Allocation, HardwareSorterMatchesReference)
 
     for (Index i = 0; i < u.size(); ++i)
         EXPECT_NEAR(ref[i], viaHw[i], 1e-12);
+}
+
+/**
+ * One call of the in-place reference path with a persistent scratch,
+ * checked against a fresh std::sort of (usage, index) records: the same
+ * permutation in the scratch and the same allocation bits.
+ */
+void
+expectResortMatchesStdSort(const Vector &u,
+                           std::vector<SortRecord> &scratch)
+{
+    std::vector<SortRecord> want;
+    for (Index i = 0; i < u.size(); ++i)
+        want.push_back({u[i], i});
+    std::sort(want.begin(), want.end(),
+              [](const SortRecord &a, const SortRecord &b) {
+                  return recordLess(a, b, SortOrder::Ascending);
+              });
+    Vector wa;
+    allocationWeightingInto(u, nullptr, 0, scratch, wa);
+    ASSERT_EQ(scratch.size(), want.size());
+    for (Index k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(scratch[k].idx, want[k].idx) << "rank " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(scratch[k].key),
+                  std::bit_cast<std::uint64_t>(want[k].key))
+            << "rank " << k;
+    }
+    const Vector ref = allocationWeighting(u, referenceUsageSort);
+    for (Index i = 0; i < u.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(wa[i]),
+                  std::bit_cast<std::uint64_t>(ref[i]))
+            << "slot " << i;
+}
+
+TEST(Allocation, AdaptiveResortMatchesStdSort)
+{
+    constexpr Index n = 64;
+    Rng rng(21);
+    std::vector<SortRecord> scratch;
+
+    // From an empty scratch (index order), all-zero usage.
+    expectResortMatchesStdSort(Vector(n, 0.0), scratch);
+
+    // Random usage, then small drifts of it: the re-keyed order of the
+    // previous call is nearly sorted.
+    Vector u = rng.uniformVector(n);
+    expectResortMatchesStdSort(u, scratch);
+    for (int step = 0; step < 20; ++step) {
+        for (Index i = 0; i < n; ++i)
+            u[i] = std::clamp(u[i] + rng.uniform(-0.02, 0.02), 0.0, 1.0);
+        expectResortMatchesStdSort(u, scratch);
+    }
+
+    // Heavy ties, including +0.0 against -0.0: the index breaks them.
+    const Real levels[] = {0.0, -0.0, 0.25, 0.5, 1.0};
+    for (int step = 0; step < 5; ++step) {
+        for (Index i = 0; i < n; ++i)
+            u[i] = levels[static_cast<Index>(rng.uniform() * 5.0) % 5];
+        expectResortMatchesStdSort(u, scratch);
+    }
+}
+
+TEST(Allocation, AdaptiveResortFallsBackOnReversedOrder)
+{
+    constexpr Index n = 256;
+    Vector up(n), down(n);
+    for (Index i = 0; i < n; ++i) {
+        up[i] = static_cast<Real>(i) / n;
+        down[i] = static_cast<Real>(n - i) / n;
+    }
+    // Re-keying the ascending order with `down` reverses it completely:
+    // n(n-1)/2 shifts, far past the n * bit_width(n) budget, so the
+    // insertion sort gives up part way and std::sort finishes.
+    static_assert(n * (n - 1) / 2 > n * std::bit_width(n));
+    std::vector<SortRecord> scratch;
+    expectResortMatchesStdSort(up, scratch);
+    expectResortMatchesStdSort(down, scratch);
+    expectResortMatchesStdSort(up, scratch);
 }
 
 TEST(Allocation, SkimmingZerosDroppedSlots)

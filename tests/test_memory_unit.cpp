@@ -10,6 +10,7 @@
 
 #include "common/random.h"
 #include "dnc/memory_unit.h"
+#include "golden_util.h"
 #include "sort/two_stage_sort.h"
 
 namespace hima {
@@ -199,6 +200,47 @@ TEST(MemoryUnit, HardwareSorterBackendIsBitExact)
         const MemoryReadout b = hw.step(writeIface(cfg, p));
         for (Index s = 0; s < cfg.memoryRows; ++s)
             EXPECT_NEAR(a.writeWeighting[s], b.writeWeighting[s], 1e-12);
+    }
+}
+
+TEST(MemoryUnit, UsageResortMatchesReferenceSortAcrossResetAndRestore)
+{
+    // The default unit re-sorts last step's usage order; the other runs
+    // the pluggable reference sort from scratch every step. Outputs must
+    // agree bit for bit through an episode reset and a mid-episode
+    // restore, which hand the re-sort a stale or foreign order.
+    DncConfig cfg = smallConfig();
+    MemoryUnit adaptive(cfg);
+    MemoryUnit reference(cfg);
+    reference.setUsageSorter(referenceUsageSort);
+    Rng rng(31);
+    std::vector<InterfaceVector> ifaces;
+    for (int s = 0; s < 60; ++s)
+        ifaces.push_back(golden::randomIface(cfg, rng));
+
+    MemoryTileState snapshot;
+    MemoryReadout a, b;
+    for (int s = 0; s < 60; ++s) {
+        SCOPED_TRACE(::testing::Message() << "step " << s);
+        if (s == 20) {
+            adaptive.reset();
+            reference.reset();
+        }
+        if (s == 30)
+            adaptive.captureState(snapshot);
+        if (s == 45) {
+            // Both units jump back to step 30's state.
+            adaptive.restoreState(snapshot);
+            reference.restoreState(snapshot);
+        }
+        adaptive.stepInto(ifaces[s], a);
+        reference.stepInto(ifaces[s], b);
+        ASSERT_TRUE(a.writeWeighting == b.writeWeighting);
+        ASSERT_TRUE(adaptive.usage() == reference.usage());
+        for (Index h = 0; h < cfg.readHeads; ++h) {
+            ASSERT_TRUE(a.readVectors[h] == b.readVectors[h]);
+            ASSERT_TRUE(a.readWeightings[h] == b.readWeightings[h]);
+        }
     }
 }
 
