@@ -169,24 +169,16 @@ controllerCrossCheck()
     return true;
 }
 
-struct TrialSummary
-{
-    double median;
-    double min;
-    double max;
-};
-
 /** Microseconds per lane-step over kControllerTrials timed trials. */
 template <typename StepFn>
 TrialSummary
 usPerLaneStep(StepFn &&stepFn)
 {
-    std::vector<double> us;
-    for (int t = 0; t < kControllerTrials; ++t)
-        us.push_back(1e6 / (benchStepsPerSecond(stepFn, 0.2) *
-                            static_cast<double>(kCoordLanes)));
-    std::sort(us.begin(), us.end());
-    return {us[us.size() / 2], us.front(), us.back()};
+    return mapTrials(
+        benchStepsPerSecond(stepFn, 0.2, kControllerTrials),
+        [](double stepsPerSec) {
+            return 1e6 / (stepsPerSec * static_cast<double>(kCoordLanes));
+        });
 }
 
 struct BatchedResult
@@ -242,7 +234,7 @@ main()
         baseline = benchStepsPerSecond(
             [&] { model.step(tokens[static_cast<std::size_t>(i++) %
                                     kInputSets]); },
-            /*minSeconds=*/0.3);
+            /*minSeconds=*/0.3).median;
         std::printf("sequential baseline: %10.1f steps/s (N=%zu)\n",
                     baseline, base.memoryRows);
     }
@@ -277,7 +269,7 @@ main()
                                             kInputSets],
                                     outputs);
                 },
-                /*minSeconds=*/0.3);
+                /*minSeconds=*/0.3).median;
             const double perLane = rate * static_cast<double>(batch);
             results.push_back(
                 {batch, threads, rate, perLane, perLane / baseline});

@@ -22,6 +22,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +31,7 @@
 #include "common/bench_env.h"
 #include "common/math_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "dnc/dncd.h"
 #include "dnc/memory_unit.h"
 #include "workload/retrieval.h"
@@ -317,9 +320,9 @@ sparseDenseGate()
 struct SingleTileResult
 {
     Index n;
-    double legacyStepsPerSec;
-    double optimizedStepsPerSec;
-    double speedup;
+    TrialSummary legacyStepsPerSec;
+    TrialSummary optimizedStepsPerSec;
+    double speedup; ///< ratio of the medians
 };
 
 struct DncdResult
@@ -428,7 +431,7 @@ writeSkipSweep(bool smoke)
         MemoryUnit mu(cfg);
         MemoryReadout out;
         const double rate =
-            benchStepsPerSecond([&] { mu.stepInto(iface, out); });
+            benchStepsPerSecond([&] { mu.stepInto(iface, out); }).median;
 
         // Accuracy leg: scripted retrieval episodes from the task suite
         // through a full Dnc with the same knob.
@@ -494,7 +497,7 @@ earlyEpisodeRate(const DncConfig &cfg, Index episodeLen, double *meanActive,
             mu.reset();
         ++stepCount;
         mu.stepInto(iface, out);
-    });
+    }).median;
     const KernelCounters &link = mu.profiler().at(Kernel::Linkage);
     const double skippedPerStep =
         link.invocations == 0
@@ -592,7 +595,7 @@ linkageSkipSweep(bool smoke, double *denseEarlyRate, Index *sweepRows,
         MemoryUnit mu(cfg);
         MemoryReadout out;
         const double steady =
-            benchStepsPerSecond([&] { mu.stepInto(iface, out); });
+            benchStepsPerSecond([&] { mu.stepInto(iface, out); }).median;
 
         DncConfig acc = benchConfig(256);
         acc.linkageSkipThreshold = th;
@@ -665,6 +668,83 @@ readSkipSweep(bool smoke)
     return rows;
 }
 
+// --------------------------------------------------------------------
+// Served-shape tile rows. The single_tile rows step one warm tile, whose
+// 8 MB N=1024 linkage matrix stays close in cache between steps. A
+// serving engine cycles its lanes' tiles, so each tile's linkage comes
+// back from farther out: these rows step N=1024 tiles (N=256 under
+// --smoke) round-robin, 8 on one thread and e2e local_long's shape of
+// 3 pool threads x 3 tiles, after 40 warm-up rounds, and report wall us
+// per tile step and history-read us (the linkage sweep and precedence,
+// Fig. 4's History-based Read) per tile step.
+// --------------------------------------------------------------------
+
+struct ServedTilesResult
+{
+    Index n;
+    Index threads;
+    Index tilesPerThread;
+    TrialSummary usPerTileStep; ///< round wall time / tiles per thread
+    double historyReadUsPerTileStep;
+};
+
+ServedTilesResult
+servedTiles(Index n, Index threads, Index tilesPerThread)
+{
+    constexpr int kWarmupRounds = 40;
+    const DncConfig cfg = benchConfig(n);
+    const Index tiles = threads * tilesPerThread;
+    std::vector<std::unique_ptr<MemoryUnit>> units;
+    std::vector<InterfaceVector> ifaces;
+    std::vector<MemoryReadout> outs(tiles);
+    Rng rng(29);
+    for (Index t = 0; t < tiles; ++t) {
+        units.push_back(std::make_unique<MemoryUnit>(cfg));
+        ifaces.push_back(benchIface(cfg, rng));
+    }
+    ThreadPool pool(threads);
+    const std::function<void(Index)> threadTiles = [&](Index t) {
+        for (Index k = 0; k < tilesPerThread; ++k) {
+            const Index tile = t * tilesPerThread + k;
+            units[tile]->stepInto(ifaces[tile], outs[tile]);
+        }
+    };
+    const auto round = [&] { pool.parallelFor(threads, threadTiles); };
+    const auto historyReadNs = [&] {
+        std::uint64_t ns = 0;
+        for (const auto &unit : units)
+            ns += unit->profiler()
+                      .categoryTotal(KernelCategory::HistoryRead)
+                      .nanoseconds;
+        return ns;
+    };
+
+    for (int r = 0; r < kWarmupRounds; ++r)
+        round();
+    const std::uint64_t ns0 = historyReadNs();
+    long rounds = 0;
+    const TrialSummary roundsPerSec = benchStepsPerSecond([&] {
+        round();
+        ++rounds;
+    });
+    const double tileSteps =
+        static_cast<double>(rounds * static_cast<long>(tiles));
+    const ServedTilesResult result{
+        n, threads, tilesPerThread,
+        mapTrials(roundsPerSec,
+                  [&](double perSec) {
+                      return 1e6 / (perSec *
+                                    static_cast<double>(tilesPerThread));
+                  }),
+        static_cast<double>(historyReadNs() - ns0) / 1e3 / tileSteps};
+    std::printf("servedTiles N=%zu threads=%zu x %zu tiles  %8.1f us per "
+                "tile step (min %.1f, IQR %.1f)  history read %8.1f us\n",
+                n, threads, tilesPerThread, result.usPerTileStep.median,
+                result.usPerTileStep.min, result.usPerTileStep.iqr,
+                result.historyReadUsPerTileStep);
+    return result;
+}
+
 } // namespace
 } // namespace hima
 
@@ -705,18 +785,20 @@ main(int argc, char **argv)
         const InterfaceVector iface = benchIface(cfg, rng);
 
         legacy::MemoryUnitSim legacySim(cfg);
-        const double legacyRate = benchStepsPerSecond(
+        const TrialSummary legacyRate = benchStepsPerSecond(
             [&] { legacySim.step(iface); });
 
         MemoryUnit mu(cfg);
         MemoryReadout out;
-        const double optRate = benchStepsPerSecond(
+        const TrialSummary optRate = benchStepsPerSecond(
             [&] { mu.stepInto(iface, out); });
 
-        single.push_back({n, legacyRate, optRate, optRate / legacyRate});
+        const double speedup = optRate.median / legacyRate.median;
+        single.push_back({n, legacyRate, optRate, speedup});
         std::printf("N=%5zu  legacy %10.1f steps/s   optimized %10.1f "
-                    "steps/s   speedup %.2fx\n",
-                    n, legacyRate, optRate, optRate / legacyRate);
+                    "steps/s (IQR %.1f)   speedup %.2fx\n",
+                    n, legacyRate.median, optRate.median, optRate.iqr,
+                    speedup);
     }
 
     const std::vector<Index> tileCounts =
@@ -733,7 +815,7 @@ main(int argc, char **argv)
             Rng rng(11);
             const InterfaceVector iface = benchIface(cfg, rng);
             const double rate = benchStepsPerSecond(
-                [&] { model.stepInterface(iface); });
+                [&] { model.stepInterface(iface); }).median;
             dncd.push_back({dncdRows, tiles, threads, rate});
             std::printf("DNC-D N=%zu tiles=%2zu threads=%zu  %10.1f "
                         "steps/s\n",
@@ -772,6 +854,12 @@ main(int argc, char **argv)
     std::printf("\nactive rows vs N (threshold 0, early-episode):\n");
     const std::vector<ActiveCurvePoint> curve = activeRowsCurve(smoke);
 
+    std::printf("\nserved-shape tiles (round-robin, warm-up 40 rounds):\n");
+    std::vector<ServedTilesResult> served;
+    const Index servedRows = smoke ? 256 : 1024;
+    served.push_back(servedTiles(servedRows, 1, 8));
+    served.push_back(servedTiles(servedRows, 3, 3));
+
     double headline = 0.0;
     for (const SingleTileResult &r : single)
         if (r.n == 1024)
@@ -790,12 +878,25 @@ main(int argc, char **argv)
     std::fprintf(json, "  \"single_tile\": [\n");
     for (std::size_t i = 0; i < single.size(); ++i) {
         const SingleTileResult &r = single[i];
+        std::fprintf(json, "    {\"n\": %zu, ", r.n);
+        writeTrials(json, "legacy_steps_per_sec", r.legacyStepsPerSec);
+        writeTrials(json, "optimized_steps_per_sec",
+                    r.optimizedStepsPerSec);
+        std::fprintf(json, "\"speedup\": %.3f}%s\n", r.speedup,
+                     i + 1 < single.size() ? "," : "");
+    }
+    std::fprintf(json, "  ],\n");
+    std::fprintf(json, "  \"served_tiles\": [\n");
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        const ServedTilesResult &r = served[i];
         std::fprintf(json,
-                     "    {\"n\": %zu, \"legacy_steps_per_sec\": %.2f, "
-                     "\"optimized_steps_per_sec\": %.2f, "
-                     "\"speedup\": %.3f}%s\n",
-                     r.n, r.legacyStepsPerSec, r.optimizedStepsPerSec,
-                     r.speedup, i + 1 < single.size() ? "," : "");
+                     "    {\"n\": %zu, \"threads\": %zu, "
+                     "\"tiles_per_thread\": %zu, ",
+                     r.n, r.threads, r.tilesPerThread);
+        writeTrials(json, "us_per_tile_step", r.usPerTileStep);
+        std::fprintf(json, "\"history_read_us_per_tile_step\": %.1f}%s\n",
+                     r.historyReadUsPerTileStep,
+                     i + 1 < served.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"dncd\": [\n");

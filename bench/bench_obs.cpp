@@ -116,7 +116,7 @@ routerRate(Mode mode, double minSeconds, const long *steps = nullptr)
         for (long i = 0; i < *steps; ++i)
             stepFn();
     } else {
-        rate = benchStepsPerSecond(stepFn, minSeconds);
+        rate = benchStepsPerSecond(stepFn, minSeconds, /*trials=*/1).median;
     }
     router.drain();
     return rate;
@@ -186,7 +186,7 @@ shardRate(Mode mode, double minSeconds, const long *steps = nullptr)
             stepFn();
         return 0.0;
     }
-    return benchStepsPerSecond(stepFn, minSeconds);
+    return benchStepsPerSecond(stepFn, minSeconds, /*trials=*/1).median;
 }
 
 // --------------------------------------------------------------------
@@ -383,7 +383,9 @@ main(int argc, char **argv)
 
     WorkloadRow rows[2] = {{"router_serve"}, {"shard_pipeline"}};
 
-    // A/B throughput, interleaved best-of-N (reported, not gated).
+    // A/B throughput, interleaved best-of-N (reported, not gated). Each
+    // call times one trial: the rounds interleave the modes, so host
+    // drift hits all three alike.
     for (int rep = 0; rep < reps; ++rep) {
         for (Mode mode : modes) {
             const int m = static_cast<int>(mode);

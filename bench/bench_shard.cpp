@@ -275,7 +275,7 @@ runPoint(Transport transport, Index tiles, Index workers,
     if (transport == Transport::InProcess) {
         DncD model(cfg, tiles);
         p.stepsPerSec =
-            benchStepsPerSecond([&] { model.stepInterface(iface); });
+            benchStepsPerSecond([&] { model.stepInterface(iface); }).median;
         p.statSteps = 1.0; // no wire: stats stay zero
         return p;
     }
@@ -302,7 +302,7 @@ runPoint(Transport transport, Index tiles, Index workers,
     p.stepsPerSec = benchStepsPerSecond([&] {
         group.stepLaneInto(0, iface, out);
         ++steps;
-    });
+    }).median;
     for (Index k = 0; k < group.channelCount(); ++k)
         diffStats(group.channel(k), sentBase[k], recvBase[k], p);
     p.statSteps = static_cast<double>(steps);
@@ -375,7 +375,7 @@ runPipelinedPoint(Transport transport, Index tiles, Index workers,
     const double engineStepsPerSec = benchStepsPerSecond([&] {
         engineStep();
         ++engineSteps;
-    });
+    }).median;
     p.stepsPerSec = engineStepsPerSec * static_cast<double>(kBenchLanes);
     for (Index k = 0; k < group.channelCount(); ++k)
         diffStats(group.channel(k), sentBase[k], recvBase[k], p);

@@ -1,5 +1,6 @@
 #include "common/bench_env.h"
 
+#include <algorithm>
 #include <thread>
 
 #if __has_include("hima_build_info.h")
@@ -28,6 +29,13 @@ writeBenchContext(std::FILE *json)
 {
     std::fprintf(json, "  \"hardware_threads\": %u,\n", hardwareThreads());
     std::fprintf(json, "  \"git_sha\": \"%s\",\n", buildGitSha());
+}
+
+void
+writeTrials(std::FILE *json, const char *name, const TrialSummary &summary)
+{
+    std::fprintf(json, "\"%s\": %.2f, \"%s_min\": %.2f, \"%s_iqr\": %.2f, ",
+                 name, summary.median, name, summary.min, name, summary.iqr);
 }
 
 void
@@ -62,6 +70,28 @@ writeTelemetrySnapshot(std::FILE *json, const obs::Snapshot &snapshot)
         first = false;
     }
     std::fprintf(json, "}");
+}
+
+TrialSummary
+summarizeTrials(std::vector<double> values)
+{
+    TrialSummary summary;
+    if (values.empty())
+        return summary;
+    std::sort(values.begin(), values.end());
+    const auto quantile = [&](double q) {
+        const double pos = q * static_cast<double>(values.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, values.size() - 1);
+        return values[lo] +
+               (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+    };
+    summary.median = quantile(0.5);
+    summary.min = values.front();
+    summary.max = values.back();
+    summary.iqr = quantile(0.75) - quantile(0.25);
+    summary.trials = std::move(values);
+    return summary;
 }
 
 } // namespace hima

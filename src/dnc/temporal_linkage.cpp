@@ -117,6 +117,97 @@ rowMassOfTouched(const Real *row, const Index *cols, Index count)
     return foldMassLanes(lane);
 }
 
+/** Bring the 64-byte line holding `p` into L2 (a hint: never faults). */
+inline void
+prefetchLine(const Real *p)
+{
+#if defined(__AVX2__)
+    _mm_prefetch(reinterpret_cast<const char *>(p), _MM_HINT_T1);
+#else
+    __builtin_prefetch(p, /*rw=*/0, /*locality=*/2);
+#endif
+}
+
+/**
+ * Prefetches the fused sweep's next active row block while the read
+ * stage sweeps the current one.
+ *
+ * The read stage streams the interleaved read and backward buffers
+ * beside the block's rows, which breaks the hardware prefetcher's run
+ * along L: left alone, every block starts on cold misses. A read body
+ * calls next() `trips` times, and the calls walk the next block's rows
+ * (only the columns [colBegin, colEnd) of each, one contiguous span when
+ * that is every column) at an even stride, so the rows reach L2 one
+ * block ahead while the current block computes. Between two full
+ * four-row blocks with every column touched, the stride is one 64-byte
+ * line per call. Every address lies inside the rows given, so no
+ * pointer past the matrix is ever formed, and a prefetch changes no
+ * value. next() costs an add, a rarely taken branch and the prefetch
+ * itself.
+ */
+class NextBlockPrefetch
+{
+  public:
+    /**
+     * Rows [firstRow, firstRow + rows) of the row-major n x n matrix at
+     * L. With rows == 0 (no next block) every call re-hints L's first
+     * line, which stays cached: the bodies call next() unconditionally.
+     */
+    NextBlockPrefetch(const Real *L, Index n, Index firstRow, Index rows,
+                      Index colBegin, Index colEnd, Index trips)
+        : base_(reinterpret_cast<const char *>(L))
+    {
+        Index spanBytes = (colEnd - colBegin) * sizeof(Real);
+        strideBytes_ = n * sizeof(Real);
+        if (rows == 0 || spanBytes == 0) {
+            rowEnd_ = ~Index{0};
+            return;
+        }
+        if (colBegin == 0 && colEnd == n) { // consecutive rows: one span
+            spanBytes *= rows;
+            rows = 1;
+        }
+        off_ = firstRow * strideBytes_ + colBegin * sizeof(Real);
+        spanBytes_ = spanBytes;
+        rowEnd_ = off_ + spanBytes;
+        rowsLeft_ = rows;
+        const Index calls = trips == 0 ? 1 : trips;
+        step_ = (rows * spanBytes + calls - 1) / calls;
+    }
+
+    /** One read-stage call: hint the current line, then advance. */
+    void
+    next()
+    {
+        prefetchLine(reinterpret_cast<const Real *>(base_ + off_));
+        off_ += step_;
+        if (off_ >= rowEnd_) [[unlikely]]
+            nextRow();
+    }
+
+  private:
+    void
+    nextRow()
+    {
+        if (--rowsLeft_ != 0) {
+            off_ = rowEnd_ - spanBytes_ + strideBytes_;
+            rowEnd_ = off_ + spanBytes_;
+        } else { // done: park on the span's last word
+            off_ = rowEnd_ - sizeof(Real);
+            step_ = 0;
+            rowEnd_ = ~Index{0};
+        }
+    }
+
+    const char *base_;
+    Index off_ = 0;         ///< byte offset of the next hint from base_
+    Index step_ = 0;        ///< bytes advanced per call
+    Index rowEnd_ = 0;      ///< end of the current row's span
+    Index spanBytes_ = 0;   ///< bytes hinted per row
+    Index strideBytes_ = 0; ///< bytes from one row to the next
+    Index rowsLeft_ = 0;    ///< rows left, the current one included
+};
+
 /**
  * Read-stage body for one updated row of L: accumulates the row's
  * contribution to every head's forward dot (chain order: j ascending)
@@ -127,10 +218,11 @@ rowMassOfTouched(const Real *row, const Index *cols, Index count)
 template <Index R>
 inline void
 readRow(const Real *row, Index n, const Real *wInt, Real *bwInt,
-        const Real *wv, Real *accOut)
+        const Real *wv, Real *accOut, NextBlockPrefetch &pf)
 {
     Real acc[R] = {};
     for (Index j = 0; j < n; ++j) {
+        pf.next();
         const Real lij = row[j];
         const Real *wj = wInt + j * R;
         Real *bj = bwInt + j * R;
@@ -155,10 +247,12 @@ readRow(const Real *row, Index n, const Real *wInt, Real *bwInt,
 template <Index R>
 inline void
 readRowSparse(const Real *row, const Index *cols, Index count,
-              const Real *wInt, Real *bwInt, const Real *wv, Real *accOut)
+              const Real *wInt, Real *bwInt, const Real *wv, Real *accOut,
+              NextBlockPrefetch &pf)
 {
     Real acc[R] = {};
     for (Index k = 0; k < count; ++k) {
+        pf.next();
         const Index j = cols[k];
         const Real lij = row[j];
         const Real *wj = wInt + j * R;
@@ -172,6 +266,13 @@ readRowSparse(const Real *row, const Index *cols, Index count,
         accOut[h] = acc[h];
 }
 
+/** Whether the four-row readQuad4 bodies below are compiled in. */
+#if defined(__AVX2__)
+constexpr bool kHasQuad4 = true;
+#else
+constexpr bool kHasQuad4 = false;
+#endif
+
 #if defined(__AVX2__)
 /**
  * Four-head specialization: the four lanes live in one 256-bit vector.
@@ -182,11 +283,12 @@ readRowSparse(const Real *row, const Index *cols, Index count,
 template <>
 inline void
 readRow<4>(const Real *row, Index n, const Real *wInt, Real *bwInt,
-           const Real *wv, Real *accOut)
+           const Real *wv, Real *accOut, NextBlockPrefetch &pf)
 {
     __m256d acc = _mm256_setzero_pd();
     const __m256d wvv = _mm256_loadu_pd(wv);
     for (Index j = 0; j < n; ++j) {
+        pf.next();
         const __m256d lij = _mm256_set1_pd(row[j]);
         acc = _mm256_add_pd(acc,
                             _mm256_mul_pd(lij, _mm256_loadu_pd(wInt + 4 * j)));
@@ -204,11 +306,13 @@ readRow<4>(const Real *row, Index n, const Real *wInt, Real *bwInt,
  * backward lanes absorb the four rows' contributions in ascending row
  * order (four separate adds per j), and each forward accumulator keeps
  * its own j-ascending chain — still bit-identical to the standalone
- * kernels.
+ * kernels. The loop runs column pairs, one next-block prefetch per pair
+ * (pf expects (n + 1) / 2 calls); the pair runs its two columns in
+ * order, so the chains are the one-column loop's.
  */
 inline void
 readQuad4(const Real *r0, Index n, const Real *wInt, Real *bwInt,
-          const Real *wv0, Real accOut[4][4])
+          const Real *wv0, Real accOut[4][4], NextBlockPrefetch &pf)
 {
     const Real *r1 = r0 + n;
     const Real *r2 = r1 + n;
@@ -221,7 +325,7 @@ readQuad4(const Real *r0, Index n, const Real *wInt, Real *bwInt,
     const __m256d v1 = _mm256_loadu_pd(wv0 + 4);
     const __m256d v2 = _mm256_loadu_pd(wv0 + 8);
     const __m256d v3 = _mm256_loadu_pd(wv0 + 12);
-    for (Index j = 0; j < n; ++j) {
+    const auto column = [&](Index j) {
         const __m256d wj = _mm256_loadu_pd(wInt + 4 * j);
         const __m256d l0 = _mm256_set1_pd(r0[j]);
         const __m256d l1 = _mm256_set1_pd(r1[j]);
@@ -237,6 +341,16 @@ readQuad4(const Real *r0, Index n, const Real *wInt, Real *bwInt,
         b = _mm256_add_pd(b, _mm256_mul_pd(l2, v2));
         b = _mm256_add_pd(b, _mm256_mul_pd(l3, v3));
         _mm256_storeu_pd(bwInt + 4 * j, b);
+    };
+    Index j = 0;
+    for (; j + 1 < n; j += 2) {
+        pf.next();
+        column(j);
+        column(j + 1);
+    }
+    if (j < n) {
+        pf.next();
+        column(j);
     }
     _mm256_storeu_pd(accOut[0], a0);
     _mm256_storeu_pd(accOut[1], a1);
@@ -254,11 +368,12 @@ template <>
 inline void
 readRowSparse<4>(const Real *row, const Index *cols, Index count,
                  const Real *wInt, Real *bwInt, const Real *wv,
-                 Real *accOut)
+                 Real *accOut, NextBlockPrefetch &pf)
 {
     __m256d acc = _mm256_setzero_pd();
     const __m256d wvv = _mm256_loadu_pd(wv);
     for (Index k = 0; k < count; ++k) {
+        pf.next();
         const Index j = cols[k];
         const __m256d lij = _mm256_set1_pd(row[j]);
         acc = _mm256_add_pd(acc,
@@ -280,7 +395,7 @@ readRowSparse<4>(const Real *row, const Index *cols, Index count,
 inline void
 readQuad4Sparse(const Real *r0, Index n, const Index *cols, Index count,
                 const Real *wInt, Real *bwInt, const Real *wv0,
-                Real accOut[4][4])
+                Real accOut[4][4], NextBlockPrefetch &pf)
 {
     const Real *r1 = r0 + n;
     const Real *r2 = r1 + n;
@@ -294,6 +409,7 @@ readQuad4Sparse(const Real *r0, Index n, const Index *cols, Index count,
     const __m256d v2 = _mm256_loadu_pd(wv0 + 8);
     const __m256d v3 = _mm256_loadu_pd(wv0 + 12);
     for (Index k = 0; k < count; ++k) {
+        pf.next();
         const Index j = cols[k];
         const __m256d wj = _mm256_loadu_pd(wInt + 4 * j);
         const __m256d l0 = _mm256_set1_pd(r0[j]);
@@ -679,8 +795,17 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
         forward[h].fill(0.0);
 
     // Row-blocked so the read stage re-traverses freshly-updated rows
-    // out of L1; L streams through DRAM once per step instead of once
-    // per kernel invocation. Four rows x 8 KB stays cache-resident.
+    // while they are still cached; L streams through DRAM once per step
+    // instead of once per kernel invocation. The read stage does not fit
+    // L1, though: at N=1024, R=4 it sweeps 96 KB (four 8 KB rows plus
+    // the interleaved read and backward buffers, 32 KB each), and that
+    // second stream breaks the hardware prefetcher's run along L, so
+    // each next block would start on cold misses. The read stage
+    // therefore prefetches the next block's rows into L2
+    // (NextBlockPrefetch), one block ahead. That hides the miss latency
+    // the next update would wait on whenever L has left the cache, as
+    // it does when a server steps several N=1024 lanes in turn (8 MB of
+    // linkage each).
     // Blocks are runs of *consecutive* active rows (up to kBlock long),
     // so an all-active matrix blocks exactly as the dense sweep did and
     // a sparse one pays only for the rows it visits.
@@ -694,15 +819,29 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
     const auto sweepStart =
         profiler ? Clock::now() : Clock::time_point{};
 
+    // Length of the run of consecutive active rows that starts at
+    // activeRows_[k], capped at kBlock.
+    const auto blockLenAt = [&](Index k) {
+        Index len = 1;
+        while (len < kBlock && k + len < numActive &&
+               activeRows_[k + len] == activeRows_[k] + len)
+            ++len;
+        return len;
+    };
+    // The column span the read bodies visit; the prefetch fetches only
+    // this span of each next-block row.
+    const Index colBegin = fullCols || tcount == 0 ? 0 : cols[0];
+    const Index colEnd =
+        fullCols ? slots_ : (tcount == 0 ? 0 : cols[tcount - 1] + 1);
+    const Index colTrips = fullCols ? slots_ : tcount;
+
     Index cursor = 0;
+    Index blockLen = numActive == 0 ? 0 : blockLenAt(0);
     while (cursor < numActive) {
         const Index blockStart = activeRows_[cursor];
-        Index blockLen = 1;
-        while (blockLen < kBlock && cursor + blockLen < numActive &&
-               activeRows_[cursor + blockLen] == blockStart + blockLen)
-            ++blockLen;
-        cursor += blockLen;
         const Index blockEnd = blockStart + blockLen;
+        cursor += blockLen;
+        const Index nextLen = cursor < numActive ? blockLenAt(cursor) : 0;
 
         // HR.(1): update rows [blockStart, blockEnd) of L, exactly as
         // updateLinkage() does, refreshing each row's mass cache from
@@ -725,6 +864,17 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
             rowMass_[i] = rowMassOfTouched(row, cols, tcount);
         }
 
+        // Prefetch the next block's rows during this block's read
+        // stage. `trips` is the number of next() calls the chosen body
+        // makes: one per column it visits in each row, except readQuad4,
+        // which makes one per column pair.
+        const bool quad = R == 4 && kHasQuad4 && blockLen == 4;
+        const Index trips = quad ? (fullCols ? (slots_ + 1) / 2 : tcount)
+                                 : colTrips * blockLen;
+        NextBlockPrefetch pf(L, slots_, nextLen ? activeRows_[cursor] : 0,
+                             nextLen, colBegin, colEnd, trips);
+        blockLen = nextLen;
+
         // HR.(3): fold the freshly-updated rows into every head's
         // forward and backward weightings. forward[h][i] accumulates
         // over j in ascending order (matVec's order) and the
@@ -732,15 +882,15 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
         // ascending i (matTVec's order).
 #if defined(__AVX2__)
         if constexpr (R == 4) {
-            if (blockEnd - blockStart == 4) {
+            if (quad) {
                 Real acc[4][4];
                 if (fullCols)
                     readQuad4(L + blockStart * slots_, slots_, wInt, bwInt,
-                              wInt + blockStart * 4, acc);
+                              wInt + blockStart * 4, acc, pf);
                 else
                     readQuad4Sparse(L + blockStart * slots_, slots_, cols,
                                     tcount, wInt, bwInt,
-                                    wInt + blockStart * 4, acc);
+                                    wInt + blockStart * 4, acc, pf);
                 for (Index k = 0; k < 4; ++k)
                     for (Index h = 0; h < 4; ++h)
                         forward[h][blockStart + k] = acc[k][h];
@@ -754,25 +904,30 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
                 Real acc[R == 0 ? 1 : R];
                 if (fullCols)
                     readRow<R == 0 ? 1 : R>(row, slots_, wInt, bwInt,
-                                            wInt + i * heads, acc);
+                                            wInt + i * heads, acc, pf);
                 else
                     readRowSparse<R == 0 ? 1 : R>(row, cols, tcount, wInt,
                                                   bwInt, wInt + i * heads,
-                                                  acc);
+                                                  acc, pf);
                 for (Index h = 0; h < heads; ++h)
                     forward[h][i] = acc[h];
             } else {
                 // Runtime-R fallback: same math, lane loop unbounded.
+                // Only the first head's pass over the row prefetches.
                 for (Index h = 0; h < heads; ++h) {
                     const Real hv = wInt[i * heads + h];
                     Real a = 0.0;
                     if (fullCols) {
                         for (Index j = 0; j < slots_; ++j) {
+                            if (h == 0)
+                                pf.next();
                             a += row[j] * wInt[j * heads + h];
                             bwInt[j * heads + h] += row[j] * hv;
                         }
                     } else {
                         for (Index k = 0; k < tcount; ++k) {
+                            if (h == 0)
+                                pf.next();
                             const Index j = cols[k];
                             a += row[j] * wInt[j * heads + h];
                             bwInt[j * heads + h] += row[j] * hv;

@@ -107,7 +107,9 @@ class TemporalLinkage
      * accumulation runs in the same order — but the N x N linkage
      * matrix moves through DRAM once per step instead of once per
      * kernel invocation (2 + 2R passes), which is what the O(N^2)
-     * kernels are bound by at large N. Profiler op counts and
+     * kernels are bound by at large N. While one block of rows is read,
+     * the next block's rows are prefetched into L2, so a matrix that has
+     * left the cache does not stall every block. Profiler op counts and
      * invocation counts match the separate calls. One clock pair times
      * the whole sweep, and the time is split between Linkage and
      * ForwardBackward in proportion to their op counts for the call
