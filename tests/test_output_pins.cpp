@@ -1,7 +1,8 @@
 /**
  * @file
- * Output pins: FNV-1a hashes of the bit patterns of fixed MemoryUnit and
- * BatchedDnc episodes, checked against values stored in this file.
+ * Output pins: FNV-1a hashes of the bit patterns of fixed MemoryUnit,
+ * DncD, Dnc and BatchedDnc episodes, checked against values stored in
+ * this file.
  *
  * Every other golden test compares one path with another inside a
  * single binary (sparse against dense, threads against one thread,
@@ -25,7 +26,9 @@
  * writes into fresh slots), so only a few consecutive rows and columns
  * carry linkage mass and the column-sparse bodies run; the mixed traffic
  * that follows touches every column at threshold 0, which switches the
- * sweep to its dense bodies.
+ * sweep to its dense bodies. Further rows turn on one approximation knob
+ * each (read skip, write skip, skimming, the PLA softmax) at (128, 4),
+ * and one runs an odd width (W=7).
  *
  * The pins go through libm's exp (softmax, LSTM gates) and tanh (LSTM).
  * If a host's libm rounds either differently, the pins fail there: record
@@ -41,6 +44,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dnc/dnc.h"
+#include "dnc/dncd.h"
 #include "dnc/memory_unit.h"
 #include "golden_util.h"
 #include "serve/batched_dnc.h"
@@ -147,6 +152,41 @@ memoryUnitEpisodeHash(const DncConfig &cfg, std::uint64_t seed,
     return h.value();
 }
 
+/** The one approximation knob a pin row turns on beyond its shape. */
+enum class Knob
+{
+    None,
+    ReadSkip,      ///< readSkipThreshold 1e-2
+    WriteSkip,     ///< writeSkipThreshold 1e-3
+    Skim,          ///< skimRate 0.2
+    ApproxSoftmax, ///< approximateSoftmax
+};
+
+const char *
+knobName(Knob knob)
+{
+    switch (knob) {
+    case Knob::None: return "None";
+    case Knob::ReadSkip: return "ReadSkip";
+    case Knob::WriteSkip: return "WriteSkip";
+    case Knob::Skim: return "Skim";
+    case Knob::ApproxSoftmax: return "ApproxSoftmax";
+    }
+    return "?";
+}
+
+void
+applyKnob(DncConfig &cfg, Knob knob)
+{
+    switch (knob) {
+    case Knob::None: break;
+    case Knob::ReadSkip: cfg.readSkipThreshold = 1e-2; break;
+    case Knob::WriteSkip: cfg.writeSkipThreshold = 1e-3; break;
+    case Knob::Skim: cfg.skimRate = 0.2; break;
+    case Knob::ApproxSoftmax: cfg.approximateSoftmax = true; break;
+    }
+}
+
 struct MemoryUnitPin
 {
     Index n;
@@ -154,22 +194,31 @@ struct MemoryUnitPin
     Index r;
     Real threshold;
     bool fixedPoint;
+    Knob knob;
     std::uint64_t hash;
 };
 
+// The knob rows share the (128, 32, 4) shape of the plain rows above
+// them, and each of their hashes differs from that plain row's: every
+// knob changes the bits of this stream.
 // clang-format off
 const MemoryUnitPin kMemoryUnitPins[] = {
-    {1024, 64, 4, 0.0,  false, 0x0a9d88fa2254d7baull},
-    {1024, 64, 4, 1e-3, false, 0xa4b311905c83bd2cull},
-    { 128, 32, 4, 0.0,  false, 0x6dfbffdbca87a0feull},
-    { 128, 32, 4, 1e-3, false, 0x3468dea2f05c166eull},
-    { 128, 32, 4, 0.0,  true,  0x178f6dab72c40b58ull},
-    { 100, 16, 3, 0.0,  false, 0x6ae58cb4a867cfbeull},
-    { 100, 16, 3, 1e-2, false, 0x62538efd3731db95ull},
-    {  37, 16, 1, 0.0,  false, 0xa1cccd345caf56a4ull},
-    {  37, 16, 1, 1e-2, false, 0x5b60c529c04fdb27ull},
-    {  64, 16, 2, 0.0,  false, 0xad5695b9d76fe241ull},
-    {  64, 16, 2, 1e-2, false, 0x7b181870d130291dull},
+    {1024, 64, 4, 0.0,  false, Knob::None,          0x0a9d88fa2254d7baull},
+    {1024, 64, 4, 1e-3, false, Knob::None,          0xa4b311905c83bd2cull},
+    { 128, 32, 4, 0.0,  false, Knob::None,          0x6dfbffdbca87a0feull},
+    { 128, 32, 4, 1e-3, false, Knob::None,          0x3468dea2f05c166eull},
+    { 128, 32, 4, 0.0,  true,  Knob::None,          0x178f6dab72c40b58ull},
+    { 128, 32, 4, 0.0,  false, Knob::ReadSkip,      0x507fe30d58dde1b6ull},
+    { 128, 32, 4, 0.0,  false, Knob::WriteSkip,     0xe2f439f1ed198af9ull},
+    { 128, 32, 4, 0.0,  false, Knob::Skim,          0xc8f880b733457d08ull},
+    { 128, 32, 4, 0.0,  false, Knob::ApproxSoftmax, 0x86b62093f0e7a6beull},
+    { 100, 16, 3, 0.0,  false, Knob::None,          0x6ae58cb4a867cfbeull},
+    { 100, 16, 3, 1e-2, false, Knob::None,          0x62538efd3731db95ull},
+    {  37, 16, 1, 0.0,  false, Knob::None,          0xa1cccd345caf56a4ull},
+    {  37, 16, 1, 1e-2, false, Knob::None,          0x5b60c529c04fdb27ull},
+    {  64, 16, 2, 0.0,  false, Knob::None,          0xad5695b9d76fe241ull},
+    {  64, 16, 2, 1e-2, false, Knob::None,          0x7b181870d130291dull},
+    {  48,  7, 2, 0.0,  false, Knob::None,          0x51e23ee662705dacull},
 };
 // clang-format on
 
@@ -182,6 +231,7 @@ TEST(OutputPins, MemoryUnitEpisodes)
         cfg.readHeads = pin.r;
         cfg.linkageSkipThreshold = pin.threshold;
         cfg.fixedPoint = pin.fixedPoint;
+        applyKnob(cfg, pin.knob);
         bool sawSparse = false;
         bool sawDense = false;
         const std::uint64_t got =
@@ -192,11 +242,12 @@ TEST(OutputPins, MemoryUnitEpisodes)
         if (pin.threshold == 0.0) {
             EXPECT_TRUE(sawDense) << "N=" << pin.n;
         }
-        char row[160];
+        char row[192];
         std::snprintf(row, sizeof row,
-                      "{%4zu, %2zu, %zu, %g, %s 0x%016llxull},",
+                      "{%4zu, %2zu, %zu, %g, %s Knob::%s, 0x%016llxull},",
                       pin.n, pin.w, pin.r, pin.threshold,
                       pin.fixedPoint ? "true," : "false,",
+                      knobName(pin.knob),
                       static_cast<unsigned long long>(got));
         EXPECT_EQ(got, pin.hash) << "measured: " << row;
     }
@@ -265,6 +316,85 @@ TEST(OutputPins, BatchedDncChurn)
     const std::uint64_t got = batchedChurnHash();
     EXPECT_EQ(got, 0xbf17d2d23cb0f30bull)
         << "measured: 0x" << std::hex << got << "ull";
+}
+
+/**
+ * A 60-step DNC-D episode over 4 tiles of N=256 (64 rows each) with the
+ * confidence merge, reset at step 30: the first 12 steps after
+ * construction and after the reset are allocation-gated, so the
+ * confidence scorer (tileConfidenceScore) runs over tiles holding
+ * never-written rows. Hashes every step's merged read vectors and
+ * weightings and the merge alphas, then every tile's final state.
+ */
+std::uint64_t
+dncdEpisodeHash()
+{
+    DncConfig cfg;
+    cfg.memoryRows = 256;
+    cfg.memoryWidth = 16;
+    cfg.readHeads = 2;
+    DncD dncd(cfg, /*tiles=*/4);
+    Rng rng(31);
+    MemoryReadout out;
+    Fnv1a h;
+    for (int step = 0; step < 60; ++step) {
+        if (step == 30)
+            dncd.reset();
+        InterfaceVector iface = golden::randomIface(cfg, rng);
+        if (step % 30 < 12) {
+            iface.allocationGate = 1.0;
+            iface.writeGate = 1.0;
+        }
+        dncd.stepInterfaceInto(iface, out);
+        h.vecs(out.readVectors);
+        h.vecs(out.readWeightings);
+        h.vec(out.writeWeighting);
+        for (const std::vector<Real> &alphas : dncd.lastAlphas())
+            h.reals(alphas.data(), alphas.size());
+    }
+    for (Index t = 0; t < dncd.tiles(); ++t)
+        hashTileState(h, dncd.shard(t));
+    return h.value();
+}
+
+TEST(OutputPins, DncDEpisode)
+{
+    const std::uint64_t got = dncdEpisodeHash();
+    EXPECT_EQ(got, 0xa30590df1435fffeull) << "measured: 0x" << std::hex << got << "ull";
+}
+
+/**
+ * A 60-step full DNC episode (LSTM controller, interface, memory unit,
+ * output head) at N=64, W=16, R=2, reset at step 30: hashes every
+ * step's output and read vectors, then the final tile state.
+ */
+std::uint64_t
+dncEpisodeHash()
+{
+    DncConfig cfg;
+    cfg.memoryRows = 64;
+    cfg.memoryWidth = 16;
+    cfg.readHeads = 2;
+    cfg.controllerSize = 32;
+    cfg.inputSize = 8;
+    cfg.outputSize = 8;
+    Dnc dnc(cfg, /*seed=*/3);
+    Rng input(41);
+    Fnv1a h;
+    for (int step = 0; step < 60; ++step) {
+        if (step == 30)
+            dnc.reset();
+        h.vec(dnc.step(input.normalVector(cfg.inputSize)));
+        h.vecs(dnc.lastReads());
+    }
+    hashTileState(h, dnc.memory());
+    return h.value();
+}
+
+TEST(OutputPins, DncEpisode)
+{
+    const std::uint64_t got = dncEpisodeHash();
+    EXPECT_EQ(got, 0x228d2000a4fc25d2ull) << "measured: 0x" << std::hex << got << "ull";
 }
 
 } // namespace
