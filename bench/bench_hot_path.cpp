@@ -1,21 +1,22 @@
 /**
  * @file
  * Hot-path throughput benchmark: wall-clock timesteps/sec of the DNC
- * memory unit, comparing the pre-refactor ("legacy") kernels against
- * the allocation-free destination-passing path, plus DNC-D tile
+ * memory unit, comparing the seed implementation's kernels ("legacy")
+ * against the allocation-free, active-set-sparse path, plus DNC-D tile
  * scaling on the thread pool. Emits BENCH_hot_path.json so the perf
  * trajectory is tracked across PRs.
  *
- * The legacy path is a faithful replica of the seed implementation:
- * bounds-checked element accessors, value-returning kernels that
- * allocate every temporary, and per-head O(N*W) row-norm recomputes in
- * content addressing. Both paths implement identical math — the bench
- * cross-checks them bit-for-bit before timing, and likewise gates the
- * active-row sparse linkage sweep against a forced-dense sweep before
- * timing the linkageSkipThreshold sections.
+ * The legacy rows time the dense reference memory unit of
+ * tests/dense_reference.h, a faithful replica of the seed
+ * implementation: bounds-checked element accessors, value-returning
+ * kernels that allocate every temporary, per-head O(N*W) row-norm
+ * recomputes, dense O(N^2) linkage kernels. Before timing anything the
+ * bench steps the optimized MemoryUnit in lockstep with it, over
+ * allocation-gated and soft traffic with episode resets, and refuses to
+ * run if a single bit of the readouts or the state differs.
  *
- * `--smoke` runs both cross-check gates plus a reduced grid (small N,
- * short sweeps) — the sanitizer CI job's configuration.
+ * `--smoke` runs the reference gate plus a reduced grid (small N, short
+ * sweeps) — the sanitizer CI job's configuration.
  */
 
 #include <chrono>
@@ -32,6 +33,7 @@
 #include "common/math_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "dense_reference.h"
 #include "dnc/dncd.h"
 #include "dnc/memory_unit.h"
 #include "workload/retrieval.h"
@@ -39,177 +41,6 @@
 
 namespace hima {
 namespace {
-
-// --------------------------------------------------------------------
-// Legacy replica of the seed memory unit (pre-refactor kernels).
-// --------------------------------------------------------------------
-namespace legacy {
-
-Vector
-matVec(const Matrix &m, const Vector &x)
-{
-    Vector y(m.rows());
-    for (Index r = 0; r < m.rows(); ++r) {
-        Real acc = 0.0;
-        for (Index c = 0; c < m.cols(); ++c)
-            acc += m(r, c) * x[c];
-        y[r] = acc;
-    }
-    return y;
-}
-
-Vector
-matTVec(const Matrix &m, const Vector &x)
-{
-    Vector y(m.cols());
-    for (Index r = 0; r < m.rows(); ++r) {
-        const Real xv = x[r];
-        for (Index c = 0; c < m.cols(); ++c)
-            y[c] += m(r, c) * xv;
-    }
-    return y;
-}
-
-Vector
-contentWeighting(const Matrix &memory, const Vector &key, Real strength)
-{
-    const Index n = memory.rows();
-    const Index w = memory.cols();
-    Vector rowNorms(n);
-    for (Index i = 0; i < n; ++i) {
-        Real acc = 0.0;
-        for (Index c = 0; c < w; ++c) {
-            const Real v = memory(i, c);
-            acc += v * v;
-        }
-        rowNorms[i] = std::sqrt(acc);
-    }
-    const Real keyNorm = key.norm();
-    constexpr Real eps = 1e-6;
-    Vector scores(n);
-    for (Index i = 0; i < n; ++i) {
-        Real acc = 0.0;
-        for (Index c = 0; c < w; ++c)
-            acc += memory(i, c) * key[c];
-        scores[i] = strength * acc / (rowNorms[i] * keyNorm + eps);
-    }
-    return softmax(scores);
-}
-
-/** The seed MemoryUnit dataflow, allocation-per-kernel. */
-struct MemoryUnitSim
-{
-    explicit MemoryUnitSim(const DncConfig &config)
-        : cfg(config), memory(cfg.memoryRows, cfg.memoryWidth),
-          usage(cfg.memoryRows), linkage(cfg.memoryRows, cfg.memoryRows),
-          precedence(cfg.memoryRows), writeWeighting(cfg.memoryRows),
-          readWeightings(cfg.readHeads, Vector(cfg.memoryRows))
-    {}
-
-    MemoryReadout
-    step(const InterfaceVector &iface)
-    {
-        const Index n = cfg.memoryRows;
-        const Index w = cfg.memoryWidth;
-
-        // CW: content write weighting (norms recomputed from scratch).
-        const Vector contentW =
-            contentWeighting(memory, iface.writeKey, iface.writeStrength);
-
-        // HW: retention, usage, sort, allocation.
-        Vector psi(n, 1.0);
-        for (Index r = 0; r < readWeightings.size(); ++r) {
-            const Real gate = iface.freeGates[r];
-            for (Index i = 0; i < n; ++i)
-                psi[i] *= 1.0 - gate * readWeightings[r][i];
-        }
-        Vector newUsage(n);
-        for (Index i = 0; i < n; ++i) {
-            const Real u = usage[i];
-            const Real wv = writeWeighting[i];
-            newUsage[i] = (u + wv - u * wv) * psi[i];
-        }
-        usage = newUsage;
-
-        std::vector<SortRecord> records;
-        records.reserve(n);
-        for (Index i = 0; i < n; ++i)
-            records.push_back({usage[i], i});
-        const SortResult sorted =
-            referenceUsageSort(records, SortOrder::Ascending);
-        Vector alloc(n, 0.0);
-        Real runningProduct = 1.0;
-        for (const SortRecord &rec : sorted.records) {
-            alloc[rec.idx] = (1.0 - rec.key) * runningProduct;
-            runningProduct *= rec.key;
-        }
-
-        // WM: gate merge.
-        Vector ww(n);
-        const Real ga = iface.allocationGate;
-        const Real gw = iface.writeGate;
-        for (Index i = 0; i < n; ++i)
-            ww[i] = gw * (ga * alloc[i] + (1.0 - ga) * contentW[i]);
-
-        // MW: erase + add, row at a time.
-        for (Index i = 0; i < n; ++i) {
-            const Real wi = ww[i];
-            if (wi == 0.0)
-                continue;
-            for (Index c = 0; c < w; ++c)
-                memory(i, c) = memory(i, c) * (1.0 - wi * iface.eraseVector[c])
-                             + wi * iface.writeVector[c];
-        }
-
-        // HR.(1)-(2): linkage then precedence.
-        for (Index i = 0; i < n; ++i) {
-            const Real wi = ww[i];
-            for (Index j = 0; j < n; ++j) {
-                if (i == j) {
-                    linkage(i, j) = 0.0;
-                    continue;
-                }
-                linkage(i, j) = (1.0 - wi - ww[j]) * linkage(i, j)
-                              + wi * precedence[j];
-            }
-        }
-        const Real keep = 1.0 - ww.sum();
-        for (Index i = 0; i < n; ++i)
-            precedence[i] = keep * precedence[i] + ww[i];
-        writeWeighting = ww;
-
-        MemoryReadout out;
-        out.writeWeighting = ww;
-        for (Index head = 0; head < cfg.readHeads; ++head) {
-            const Vector fwd = legacy::matVec(linkage, readWeightings[head]);
-            const Vector bwd = legacy::matTVec(linkage, readWeightings[head]);
-            const Vector content = contentWeighting(
-                memory, iface.readKeys[head], iface.readStrengths[head]);
-            Vector weighting(n);
-            const ReadMode &mode = iface.readModes[head];
-            for (Index i = 0; i < n; ++i) {
-                weighting[i] = mode.backward * bwd[i]
-                             + mode.content * content[i]
-                             + mode.forward * fwd[i];
-            }
-            Vector readVector = legacy::matTVec(memory, weighting);
-            readWeightings[head] = weighting;
-            out.readWeightings.push_back(std::move(weighting));
-            out.readVectors.push_back(std::move(readVector));
-        }
-        return out;
-    }
-
-    DncConfig cfg;
-    Matrix memory;
-    Vector usage;
-    Matrix linkage;
-    Vector precedence;
-    Vector writeWeighting;
-    std::vector<Vector> readWeightings;
-};
-
-} // namespace legacy
 
 // --------------------------------------------------------------------
 // Harness.
@@ -244,74 +75,57 @@ benchIface(const DncConfig &cfg, Rng &rng)
     return iface;
 }
 
-/** Bit-exact cross-check of the legacy replica vs the optimized path. */
-bool
-crossCheck()
-{
-    const DncConfig cfg = benchConfig(256);
-    legacy::MemoryUnitSim legacySim(cfg);
-    MemoryUnit optimized(cfg);
-    MemoryReadout optOut;
-    Rng rng(42);
-    for (int step = 0; step < 4; ++step) {
-        const InterfaceVector iface = benchIface(cfg, rng);
-        const MemoryReadout a = legacySim.step(iface);
-        optimized.stepInto(iface, optOut);
-        for (Index h = 0; h < cfg.readHeads; ++h) {
-            if (!(a.readVectors[h] == optOut.readVectors[h]) ||
-                !(a.readWeightings[h] == optOut.readWeightings[h]))
-                return false;
-        }
-        if (!(a.writeWeighting == optOut.writeWeighting))
-            return false;
-    }
-    return true;
-}
-
 /**
- * Bit-exact cross-check of the active-row sparse linkage sweep at
- * threshold 0 against a forced dense sweep, over both regimes: the
- * early-episode allocation traffic the sparse path is built for (one-
- * hot writes, most rows never touched) and mixed soft traffic with
- * episode resets. Compares readouts and the full linkage state every
- * step; the bench refuses to time if a single bit differs.
+ * Bit-exact gate of the optimized MemoryUnit against the dense
+ * reference: 150 steps per shape with an episode reset every 50 steps,
+ * the first 15 steps of each episode allocation-gated one-hot writes
+ * (few rows active, the column-sparse sweep bodies) and the rest soft
+ * traffic with random gates (every row active). Compares read vectors,
+ * read and write weightings, memory, row norms, usage, linkage and
+ * precedence after every step. The shapes reach the fused sweep's
+ * four-row AVX2 blocks (R=4), the runtime-R fallback (R=3) and the
+ * compile-time one-head body (R=1), and the content scores' odd-width
+ * path (W=7).
  */
 bool
-sparseDenseGate()
+referenceGate()
 {
-    const DncConfig sparseCfg = benchConfig(256);
-    DncConfig denseCfg = sparseCfg;
-    denseCfg.linkageDenseSweep = true;
-    MemoryUnit sparse(sparseCfg);
-    MemoryUnit dense(denseCfg);
-    MemoryReadout a, b;
-    Rng rng(99);
-    for (int episode = 0; episode < 3; ++episode) {
-        sparse.reset();
-        dense.reset();
-        for (int t = 0; t < 40; ++t) {
-            InterfaceVector iface = benchIface(sparseCfg, rng);
-            if (episode == 0) {
-                // Early-episode regime: pure allocation-gated writes.
+    struct Shape
+    {
+        Index n, w, r;
+    };
+    for (const Shape shape :
+         {Shape{256, 64, 4}, Shape{37, 6, 3}, Shape{64, 7, 1}}) {
+        DncConfig cfg = benchConfig(shape.n);
+        cfg.memoryWidth = shape.w;
+        cfg.readHeads = shape.r;
+        dense::MemoryUnitSim ref(cfg);
+        MemoryUnit optimized(cfg);
+        MemoryReadout out;
+        Rng rng(99);
+        for (int step = 0; step < 150; ++step) {
+            if (step > 0 && step % 50 == 0) {
+                ref.reset();
+                optimized.reset();
+            }
+            InterfaceVector iface = benchIface(cfg, rng);
+            if (step % 50 < 15) {
                 iface.allocationGate = 1.0;
                 iface.writeGate = 1.0;
             } else {
                 iface.allocationGate = rng.uniform();
                 iface.writeGate = rng.uniform(0.3, 1.0);
             }
-            sparse.stepInto(iface, a);
-            dense.stepInto(iface, b);
-            for (Index h = 0; h < sparseCfg.readHeads; ++h) {
-                if (!(a.readVectors[h] == b.readVectors[h]) ||
-                    !(a.readWeightings[h] == b.readWeightings[h]))
-                    return false;
+            const MemoryReadout refOut = ref.step(iface);
+            optimized.stepInto(iface, out);
+            if (const char *what =
+                    dense::firstMismatch(ref, refOut, optimized, out)) {
+                std::fprintf(stderr,
+                             "reference gate: %s diverged at N=%zu W=%zu "
+                             "R=%zu step %d\n",
+                             what, shape.n, shape.w, shape.r, step);
+                return false;
             }
-            if (!(a.writeWeighting == b.writeWeighting))
-                return false;
-            if (!(sparse.linkage().linkage() == dense.linkage().linkage()) ||
-                !(sparse.linkage().precedence() ==
-                  dense.linkage().precedence()))
-                return false;
         }
     }
     return true;
@@ -455,18 +269,18 @@ writeSkipSweep(bool smoke)
 }
 
 // --------------------------------------------------------------------
-// Active-row linkage sweep (the PR's tentpole): throughput of the
-// sparse O(A*N) sweep vs the forced-dense O(N^2) one on the regime it
-// targets — early-episode serving, where allocation-gated writes are
-// one-hot and A stays <= N/4 — plus a linkageSkipThreshold exactness
-// sweep in the same Fig. 10 style as writeSkipThreshold above.
+// Active-row linkage sweep: throughput of the sparse O(A*N) sweep on
+// the regime it targets — early-episode serving, where allocation-gated
+// writes are one-hot and A stays <= N/4 — next to the steady soft-
+// traffic rate where every row is active, plus a linkageSkipThreshold
+// exactness sweep in the same Fig. 10 style as writeSkipThreshold
+// above.
 // --------------------------------------------------------------------
 
 struct LinkSkipResult
 {
     Real threshold;
     double earlyStepsPerSec;   ///< episodic allocation traffic, A <= N/4
-    double earlySpeedup;       ///< vs the forced-dense baseline
     double meanActiveRows;     ///< measured A over the early-episode run
     double steadyStepsPerSec;  ///< soft traffic, no resets (dense regime)
     double errorRate;          ///< mean over the retrieval task subset
@@ -524,14 +338,12 @@ struct ActiveCurvePoint
     Index episodeLen;
     double meanActiveRows;
     double sparseStepsPerSec;
-    double denseStepsPerSec;
-    double speedup;
 };
 
 /**
  * Measured A-vs-N curve at threshold 0: for each memory size, the mean
- * active-row count and the sparse-vs-dense throughput on the same
- * early-episode workload (episodes of N/4 steps).
+ * active-row count and the throughput on the early-episode workload
+ * (episodes of N/4 steps).
  */
 std::vector<ActiveCurvePoint>
 activeRowsCurve(bool smoke)
@@ -541,41 +353,24 @@ activeRowsCurve(bool smoke)
     std::vector<ActiveCurvePoint> curve;
     for (Index n : ns) {
         const Index episodeLen = n / 4;
-        DncConfig sparseCfg = benchConfig(n);
         double meanActive = 0.0;
         const double sparse =
-            earlyEpisodeRate(sparseCfg, episodeLen, &meanActive);
-        DncConfig denseCfg = benchConfig(n);
-        denseCfg.linkageDenseSweep = true;
-        double denseActive = 0.0;
-        const double dense =
-            earlyEpisodeRate(denseCfg, episodeLen, &denseActive);
-        curve.push_back(
-            {n, episodeLen, meanActive, sparse, dense, sparse / dense});
+            earlyEpisodeRate(benchConfig(n), episodeLen, &meanActive);
+        curve.push_back({n, episodeLen, meanActive, sparse});
         std::printf("activeRows N=%5zu  mean A %7.1f  sparse %10.1f "
-                    "steps/s  dense %10.1f steps/s  speedup %.2fx\n",
-                    n, meanActive, sparse, dense, sparse / dense);
+                    "steps/s\n",
+                    n, meanActive, sparse);
     }
     return curve;
 }
 
 std::vector<LinkSkipResult>
-linkageSkipSweep(bool smoke, double *denseEarlyRate, Index *sweepRows,
-                 Index *episodeLenOut)
+linkageSkipSweep(bool smoke, Index *sweepRows, Index *episodeLenOut)
 {
     const Index n = smoke ? 256 : 1024;
     const Index episodeLen = n / 4; // A <= N/4 by construction
     *sweepRows = n;
     *episodeLenOut = episodeLen;
-
-    // Dense baseline: same workload, skipping disabled.
-    double denseActive = 0.0;
-    DncConfig denseCfg = benchConfig(n);
-    denseCfg.linkageDenseSweep = true;
-    *denseEarlyRate = earlyEpisodeRate(denseCfg, episodeLen, &denseActive);
-    std::printf("linkageSweep dense    %10.1f steps/s (early-episode "
-                "N=%zu, episode %zu)\n",
-                *denseEarlyRate, n, episodeLen);
 
     const std::vector<Real> thresholds =
         smoke ? std::vector<Real>{0.0, 1e-6}
@@ -607,13 +402,13 @@ linkageSkipSweep(bool smoke, double *denseEarlyRate, Index *sweepRows,
         div.linkageSkipThreshold = th;
         const double rms = readDivergence(div);
 
-        results.push_back({th, early, early / *denseEarlyRate, meanActive,
-                           steady, err, err - baseErr, rms});
-        std::printf("linkageSweep %.0e  early %10.1f steps/s (%.2fx, "
-                    "mean A %.1f)  steady %10.1f steps/s  error %.4f "
+        results.push_back({th, early, meanActive, steady, err,
+                           err - baseErr, rms});
+        std::printf("linkageSweep %.0e  early %10.1f steps/s (mean A "
+                    "%.1f)  steady %10.1f steps/s  error %.4f "
                     "(delta %+.4f)  read RMS div %.2e\n",
-                    th, early, early / *denseEarlyRate, meanActive, steady,
-                    err, err - baseErr, rms);
+                    th, early, meanActive, steady, err, err - baseErr,
+                    rms);
     }
     return results;
 }
@@ -623,7 +418,6 @@ struct ReadSkipResult
     Index n;
     Real threshold;
     double earlyStepsPerSec;
-    double earlySpeedup;        ///< vs the forced-dense baseline at this N
     double meanActiveRows;      ///< linkage-sweep active rows
     double meanReadSkippedRows; ///< zero-norm rows skipped per content score
 };
@@ -631,8 +425,8 @@ struct ReadSkipResult
 /**
  * Read-stage rows of the sparsity sweep: the threshold drives the whole
  * pipeline (content-score norm skip, sparse memory read and the
- * column-sparse linkage sweeps together, as the knobs ship) against the
- * forced-dense baseline on the same early-episode workload.
+ * column-sparse linkage sweeps together, as the knobs ship) on the
+ * early-episode workload.
  */
 std::vector<ReadSkipResult>
 readSkipSweep(bool smoke)
@@ -643,11 +437,6 @@ readSkipSweep(bool smoke)
     std::vector<ReadSkipResult> rows;
     for (Index n : ns) {
         const Index episodeLen = n / 4;
-        DncConfig denseCfg = benchConfig(n);
-        denseCfg.linkageDenseSweep = true;
-        double denseActive = 0.0;
-        const double dense =
-            earlyEpisodeRate(denseCfg, episodeLen, &denseActive);
         for (Real th : thresholds) {
             DncConfig cfg = benchConfig(n);
             cfg.readSkipThreshold = th;
@@ -656,13 +445,10 @@ readSkipSweep(bool smoke)
             double readSkipped = 0.0;
             const double early =
                 earlyEpisodeRate(cfg, episodeLen, &meanActive, &readSkipped);
-            rows.push_back(
-                {n, th, early, early / dense, meanActive, readSkipped});
-            std::printf("readSweep N=%5zu th=%.0e  early %10.1f steps/s "
-                        "(%.2fx vs dense %.1f)  mean A %.1f  read-skip "
-                        "%.1f rows/score\n",
-                        n, th, early, early / dense, dense, meanActive,
-                        readSkipped);
+            rows.push_back({n, th, early, meanActive, readSkipped});
+            std::printf("readSweep N=%5zu th=%.0e  early %10.1f steps/s  "
+                        "mean A %.1f  read-skip %.1f rows/score\n",
+                        n, th, early, meanActive, readSkipped);
         }
     }
     return rows;
@@ -758,22 +544,15 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
 
-    if (!crossCheck()) {
+    if (!referenceGate()) {
         std::fprintf(stderr,
-                     "FATAL: legacy and optimized paths diverged — "
-                     "refusing to benchmark unequal computations\n");
+                     "FATAL: the optimized memory unit diverged from the "
+                     "dense reference — refusing to benchmark unequal "
+                     "computations\n");
         return 1;
     }
-    std::printf("cross-check: legacy and optimized paths bit-identical\n");
-
-    if (!sparseDenseGate()) {
-        std::fprintf(stderr,
-                     "FATAL: sparse linkage sweep diverged from the dense "
-                     "sweep at threshold 0 — refusing to benchmark\n");
-        return 1;
-    }
-    std::printf("cross-check: sparse and dense linkage sweeps "
-                "bit-identical at threshold 0\n");
+    std::printf("cross-check: optimized memory unit bit-identical to the "
+                "dense reference\n");
 
     const std::vector<Index> sizes =
         smoke ? std::vector<Index>{64, 256}
@@ -784,7 +563,7 @@ main(int argc, char **argv)
         Rng rng(7);
         const InterfaceVector iface = benchIface(cfg, rng);
 
-        legacy::MemoryUnitSim legacySim(cfg);
+        dense::MemoryUnitSim legacySim(cfg);
         const TrialSummary legacyRate = benchStepsPerSecond(
             [&] { legacySim.step(iface); });
 
@@ -841,12 +620,10 @@ main(int argc, char **argv)
     const std::vector<SkipResult> skips = writeSkipSweep(smoke);
 
     std::printf("\nlinkageSkipThreshold active-row sweep:\n");
-    double denseEarlyRate = 0.0;
     Index sweepRows = 0;
     Index sweepEpisodeLen = 0;
     const std::vector<LinkSkipResult> linkSkips =
-        linkageSkipSweep(smoke, &denseEarlyRate, &sweepRows,
-                         &sweepEpisodeLen);
+        linkageSkipSweep(smoke, &sweepRows, &sweepEpisodeLen);
 
     std::printf("\nread-stage sparsity sweep (early-episode):\n");
     const std::vector<ReadSkipResult> readSkips = readSkipSweep(smoke);
@@ -930,22 +707,21 @@ main(int argc, char **argv)
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json,
-                 "  \"linkage_dense_baseline\": {\"n\": %zu, "
-                 "\"episode_len\": %zu, \"early_steps_per_sec\": %.2f},\n",
-                 sweepRows, sweepEpisodeLen, denseEarlyRate);
+                 "  \"linkage_skip_sweep_shape\": {\"n\": %zu, "
+                 "\"episode_len\": %zu},\n",
+                 sweepRows, sweepEpisodeLen);
     std::fprintf(json, "  \"linkage_skip_sweep\": [\n");
     for (std::size_t i = 0; i < linkSkips.size(); ++i) {
         const LinkSkipResult &r = linkSkips[i];
         std::fprintf(json,
                      "    {\"threshold\": %.0e, "
                      "\"early_steps_per_sec\": %.2f, "
-                     "\"early_speedup_vs_dense\": %.3f, "
                      "\"mean_active_rows_early\": %.1f, "
                      "\"steady_steps_per_sec\": %.2f, "
                      "\"retrieval_error_rate\": %.5f, "
                      "\"error_delta_vs_exact\": %.5f, "
                      "\"read_rms_divergence\": %.3e}%s\n",
-                     r.threshold, r.earlyStepsPerSec, r.earlySpeedup,
+                     r.threshold, r.earlyStepsPerSec,
                      r.meanActiveRows, r.steadyStepsPerSec, r.errorRate,
                      r.errorDelta, r.readRms,
                      i + 1 < linkSkips.size() ? "," : "");
@@ -957,10 +733,9 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "    {\"n\": %zu, \"threshold\": %.0e, "
                      "\"early_steps_per_sec\": %.2f, "
-                     "\"early_speedup_vs_dense\": %.3f, "
                      "\"mean_active_rows_early\": %.1f, "
                      "\"mean_read_skipped_rows_per_score\": %.1f}%s\n",
-                     r.n, r.threshold, r.earlyStepsPerSec, r.earlySpeedup,
+                     r.n, r.threshold, r.earlyStepsPerSec,
                      r.meanActiveRows, r.meanReadSkippedRows,
                      i + 1 < readSkips.size() ? "," : "");
     }
@@ -971,11 +746,9 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "    {\"n\": %zu, \"episode_len\": %zu, "
                      "\"mean_active_rows\": %.1f, "
-                     "\"sparse_steps_per_sec\": %.2f, "
-                     "\"dense_steps_per_sec\": %.2f, "
-                     "\"speedup\": %.3f}%s\n",
+                     "\"sparse_steps_per_sec\": %.2f}%s\n",
                      r.n, r.episodeLen, r.meanActiveRows,
-                     r.sparseStepsPerSec, r.denseStepsPerSec, r.speedup,
+                     r.sparseStepsPerSec,
                      i + 1 < curve.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
@@ -984,9 +757,7 @@ main(int argc, char **argv)
     std::fprintf(json, "}\n");
     std::fclose(json);
     std::printf("wrote BENCH_hot_path.json (N=1024 speedup %.2fx, "
-                "16-tile 4-thread scaling %.2fx, early-episode linkage "
-                "speedup %.2fx)\n",
-                headline, scaling16,
-                linkSkips.empty() ? 0.0 : linkSkips[0].earlySpeedup);
+                "16-tile 4-thread scaling %.2fx)\n",
+                headline, scaling16);
     return 0;
 }

@@ -100,37 +100,34 @@ BM_ContentAddressingCached(benchmark::State &state)
 }
 BENCHMARK(BM_ContentAddressingCached)->Arg(256)->Arg(1024);
 
+/**
+ * The fused history sweep (HR.(1) linkage update plus HR.(3) forward and
+ * backward reads for every head) and the precedence update, on soft
+ * writes that keep every row active. Args: N, read heads.
+ */
 void
-BM_LinkageUpdate(benchmark::State &state)
+BM_LinkageUpdateAndRead(benchmark::State &state)
 {
     const Index n = state.range(0);
+    const Index heads = state.range(1);
     TemporalLinkage tl(n);
     Rng rng(5);
     Vector w = rng.uniformVector(n);
     w = scale(w, 1.0 / w.sum());
+    std::vector<Vector> reads(heads, w);
+    std::vector<Vector> forward, backward;
     for (auto _ : state) {
-        tl.updateLinkage(w);
+        tl.updateAndRead(w, reads, forward, backward);
         tl.updatePrecedence(w);
+        benchmark::DoNotOptimize(forward.data());
+        benchmark::DoNotOptimize(backward.data());
     }
 }
-BENCHMARK(BM_LinkageUpdate)->Arg(256)->Arg(1024);
-
-void
-BM_ForwardBackward(benchmark::State &state)
-{
-    const Index n = state.range(0);
-    TemporalLinkage tl(n);
-    Rng rng(6);
-    Vector w = rng.uniformVector(n);
-    w = scale(w, 1.0 / w.sum());
-    tl.updateLinkage(w);
-    tl.updatePrecedence(w);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tl.forwardWeighting(w));
-        benchmark::DoNotOptimize(tl.backwardWeighting(w));
-    }
-}
-BENCHMARK(BM_ForwardBackward)->Arg(256)->Arg(1024);
+BENCHMARK(BM_LinkageUpdateAndRead)
+    ->Args({256, 1})
+    ->Args({256, 4})
+    ->Args({1024, 1})
+    ->Args({1024, 4});
 
 void
 BM_MemoryUnitStep(benchmark::State &state)

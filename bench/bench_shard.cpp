@@ -45,6 +45,7 @@
 
 #include "common/bench_env.h"
 #include "common/random.h"
+#include "dense_reference.h"
 #include "dnc/memory_unit.h"
 #include "obs/obs.h"
 #include "shard/local_cluster.h"
@@ -386,8 +387,8 @@ runPipelinedPoint(Transport transport, Index tiles, Index workers,
 
 /**
  * Byte sizes of one tile's checkpoint frame under the v6 sparse
- * encoding vs the dense escape, plus the bit-identity verdict of a
- * restore from the sparse frame. The traffic is allocation-gated
+ * encoding and of a saturated tile's (dense) frame, plus the verdict of
+ * a restore from the sparse frame. The traffic is allocation-gated
  * (early-episode), where the active set is a small fraction of N and
  * the sparse frames must win by bytes.
  */
@@ -402,36 +403,39 @@ struct CheckpointFrameReport
 
 /**
  * Fatal gate for the v6 sparse checkpoint path: at an early-episode
- * active set the frame must be byte-smaller than the dense encoding
- * AND restore a replica that replays bit-identically against the
- * uninterrupted tile.
+ * active set the frame must be byte-smaller than the dense frame of a
+ * tile that soft traffic has saturated, AND a replica restored from it
+ * must replay bit-identically against the dense reference
+ * (tests/dense_reference.h) that stepped alongside the captured tile.
  */
 CheckpointFrameReport
 sparseCheckpointGate()
 {
     CheckpointFrameReport rep;
     const DncConfig cfg = benchConfig(1);
-    DncConfig denseCfg = cfg;
-    denseCfg.linkageDenseSweep = true;
     rep.rows = cfg.memoryRows;
 
-    std::vector<std::unique_ptr<MemoryUnit>> sparse, dense;
-    sparse.push_back(std::make_unique<MemoryUnit>(cfg));
-    dense.push_back(std::make_unique<MemoryUnit>(denseCfg));
+    std::vector<std::unique_ptr<MemoryUnit>> early, saturated;
+    early.push_back(std::make_unique<MemoryUnit>(cfg));
+    saturated.push_back(std::make_unique<MemoryUnit>(cfg));
+    dense::MemoryUnitSim ref(cfg);
     Rng rng(11);
     MemoryReadout out;
     for (int step = 0; step < 16; ++step) {
         InterfaceVector iface = randomIface(cfg, rng);
         iface.allocationGate = 1.0; // early-episode one-hot writes
         iface.writeGate = 1.0;
-        sparse[0]->stepInto(iface, out);
-        dense[0]->stepInto(iface, out);
+        early[0]->stepInto(iface, out);
+        ref.step(iface);
     }
-    rep.activeRows = sparse[0]->linkage().touchedSlots().size();
+    // Soft writes touch every memory and linkage row.
+    for (int step = 0; step < 4; ++step)
+        saturated[0]->stepInto(randomIface(cfg, rng), out);
+    rep.activeRows = early[0]->linkage().touchedSlots().size();
 
     WireWriter sparseFrame, denseFrame;
-    encodeCheckpointState(1, sparse, cfg, sparseFrame);
-    encodeCheckpointState(1, dense, denseCfg, denseFrame);
+    encodeCheckpointState(1, early, cfg, sparseFrame);
+    encodeCheckpointState(1, saturated, cfg, denseFrame);
     rep.sparseBytes = sparseFrame.buffer().size();
     rep.denseBytes = denseFrame.buffer().size();
     if (rep.sparseBytes >= rep.denseBytes)
@@ -445,16 +449,18 @@ sparseCheckpointGate()
         return rep;
     MemoryUnit replica(cfg);
     replica.restoreState(snap);
-    MemoryReadout a, b;
     for (int step = 0; step < 8; ++step) {
         const InterfaceVector iface = randomIface(cfg, rng);
-        sparse[0]->stepInto(iface, a);
-        replica.stepInto(iface, b);
-        for (Index h = 0; h < cfg.readHeads; ++h)
-            if (!(a.readVectors[h] == b.readVectors[h]))
-                return rep;
-        if (!(a.writeWeighting == b.writeWeighting))
+        const MemoryReadout refOut = ref.step(iface);
+        replica.stepInto(iface, out);
+        if (const char *what =
+                dense::firstMismatch(ref, refOut, replica, out)) {
+            std::fprintf(stderr,
+                         "sparse checkpoint gate: restored %s diverged "
+                         "from the dense reference at replay step %d\n",
+                         what, step);
             return rep;
+        }
     }
     rep.ok = true;
     return rep;
@@ -466,7 +472,6 @@ struct RecoveryRow
     Index tiles;
     Index workers;
     Index interval;    ///< checkpoint cadence (steps)
-    bool denseFrames;  ///< dense escape: pre-sparsity checkpoint frames
     double stepMs;     ///< fastest normal step just before the kill
     double recoveryMs; ///< the killed step: detect + respawn + restore + replay
 };
@@ -477,17 +482,14 @@ struct RecoveryRow
  * and time the step that detects the loss and recovers through it.
  *
  * Traffic is allocation-gated so the run sits in the early-episode
- * regime where the v6 sparse checkpoint frames apply; `denseFrames`
- * re-runs the same workload through the dense escape (dense sweeps and
- * dense frames — the pre-sparsity behavior) for comparison.
+ * regime where the v6 sparse checkpoint frames apply.
  */
 RecoveryRow
 runRecoveryRow(Transport transport, Index tiles, Index workers,
-               Index interval, bool denseFrames = false)
+               Index interval)
 {
     DncConfig cfg = benchConfig(tiles);
     cfg.shardCheckpointIntervalSteps = interval;
-    cfg.linkageDenseSweep = denseFrames;
     Rng rng(7);
     InterfaceVector iface = randomIface(cfg, rng);
     iface.allocationGate = 1.0;
@@ -498,7 +500,6 @@ runRecoveryRow(Transport transport, Index tiles, Index workers,
     row.tiles = tiles;
     row.workers = workers;
     row.interval = interval;
-    row.denseFrames = denseFrames;
 
     LocalLaneCluster cluster = makeLocalLaneCluster(
         toCluster(transport), cfg, tiles, /*lanes=*/1, workers);
@@ -579,14 +580,14 @@ main(int argc, char **argv)
                      "FATAL: v6 sparse checkpoint frames failed the gate "
                      "(sparse %zu B vs dense %zu B at A=%zu/N=%zu) — "
                      "either the frame did not shrink or the restore "
-                     "diverged\n",
+                     "diverged from the dense reference\n",
                      frames.sparseBytes, frames.denseBytes,
                      frames.activeRows, frames.rows);
         return 1;
     }
     std::printf("cross-check: sparse checkpoint frame %zu B vs dense "
                 "%zu B (%.1fx smaller at A=%zu/N=%zu), restore "
-                "bit-identical\n",
+                "bit-identical to the dense reference\n",
                 frames.sparseBytes, frames.denseBytes,
                 static_cast<double>(frames.denseBytes) /
                     static_cast<double>(frames.sparseBytes),
@@ -607,7 +608,6 @@ main(int argc, char **argv)
         Index tiles;
         Index workers;
         Index interval;
-        bool denseFrames = false;
     };
     std::vector<Case> cases;
     std::vector<RecoveryCase> recoveryCases;
@@ -623,10 +623,8 @@ main(int argc, char **argv)
                  {Transport::Shm, 4, 2, 0, 16}};
         // Injected kill + recovery under the sanitizers — the shm row
         // drives ring re-rendezvous + replay through TSan/ASan too.
-        // One sparse-frame row and one dense-escape row, so both
-        // checkpoint encodings recover under the sanitizers.
-        recoveryCases = {{Transport::Unix, 4, 2, 16, false},
-                         {Transport::Shm, 4, 2, 16, true}};
+        recoveryCases = {{Transport::Unix, 4, 2, 16},
+                         {Transport::Shm, 4, 2, 16}};
     } else {
         for (Index tiles : {Index(2), Index(4), Index(8), Index(16)}) {
             const Index workers = tiles >= 4 ? 4 : tiles;
@@ -669,11 +667,6 @@ main(int argc, char **argv)
             recoveryCases.push_back({Transport::Tcp, 8, 4, interval});
             recoveryCases.push_back({Transport::Shm, 8, 4, interval});
         }
-        // Dense-escape twins at interval 64: same workload recovered
-        // through dense checkpoint frames, pricing the v6 sparse-frame
-        // restore against the pre-sparsity baseline.
-        recoveryCases.push_back({Transport::Unix, 8, 4, 64, true});
-        recoveryCases.push_back({Transport::Shm, 8, 4, 64, true});
     }
 
     std::printf("bench_shard: N=1024, W=64, R=4; merge round trips "
@@ -720,15 +713,14 @@ main(int argc, char **argv)
 
     std::vector<RecoveryRow> recoveries;
     for (const RecoveryCase &c : recoveryCases) {
-        const RecoveryRow r = runRecoveryRow(c.transport, c.tiles, c.workers,
-                                             c.interval, c.denseFrames);
+        const RecoveryRow r =
+            runRecoveryRow(c.transport, c.tiles, c.workers, c.interval);
         recoveries.push_back(r);
         std::printf("%-10s tiles=%2zu workers=%zu recovery ckpt=%-4zu "
-                    "%s frames  killed worker recovered in %.2f ms "
+                    "killed worker recovered in %.2f ms "
                     "(normal step %.3f ms)\n",
                     transportName(r.transport), r.tiles, r.workers,
-                    r.interval, r.denseFrames ? "dense " : "sparse",
-                    r.recoveryMs, r.stepMs);
+                    r.interval, r.recoveryMs, r.stepMs);
     }
 
     FILE *json = std::fopen("BENCH_shard.json", "w");
@@ -768,11 +760,10 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "    {\"transport\": \"%s\", \"tiles\": %zu, "
                      "\"workers\": %zu, \"checkpoint_interval\": %zu, "
-                     "\"dense_frames\": %s, "
                      "\"step_ms\": %.4f, \"recovery_ms\": %.4f}%s\n",
                      transportName(r.transport), r.tiles, r.workers,
-                     r.interval, r.denseFrames ? "true" : "false", r.stepMs,
-                     r.recoveryMs, i + 1 < recoveries.size() ? "," : "");
+                     r.interval, r.stepMs, r.recoveryMs,
+                     i + 1 < recoveries.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json,

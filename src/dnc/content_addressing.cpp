@@ -9,8 +9,8 @@
 namespace hima {
 
 ContentAddressing::ContentAddressing(bool approximate, int segments,
-                                     Real skipThreshold, bool denseSweep)
-    : skipThreshold_(skipThreshold), denseSweep_(denseSweep)
+                                     Real skipThreshold)
+    : skipThreshold_(skipThreshold)
 {
     HIMA_ASSERT(skipThreshold_ >= 0.0, "negative read skip threshold");
     if (approximate)
@@ -148,7 +148,7 @@ ContentAddressing::weightingInto(const Matrix &memory, const Vector &key,
         };
 
         Index skipped = 0;
-        if (!cachedRowNorms || denseSweep_) {
+        if (!cachedRowNorms) {
             scoreRun(0, n);
         } else {
             // Sparse scan: a row whose cached norm is at or below the

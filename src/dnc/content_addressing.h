@@ -30,11 +30,9 @@ class ContentAddressing
      *                      rows whose cached norm is at or below it are
      *                      scored 0 without the O(W) dot (see
      *                      DncConfig::readSkipThreshold)
-     * @param denseSweep    bench/test escape: never skip any row
      */
     explicit ContentAddressing(bool approximate = false, int segments = 8,
-                               Real skipThreshold = 0.0,
-                               bool denseSweep = false);
+                               Real skipThreshold = 0.0);
 
     /**
      * C(M, k, beta): weighting over the N rows of memory.
@@ -88,7 +86,6 @@ class ContentAddressing
   private:
     std::unique_ptr<SoftmaxApprox> approx_;
     Real skipThreshold_ = 0.0;
-    bool denseSweep_ = false;
 };
 
 } // namespace hima

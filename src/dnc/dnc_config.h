@@ -174,18 +174,6 @@ struct DncConfig
      */
     Index telemetryTraceCapacity = 4096;
 
-    /**
-     * Bench/test escape hatch: force the dense full-N sweeps everywhere
-     * the active-set machinery would skip work — the linkage update and
-     * forward/backward reads, the content-addressing similarity scan,
-     * the memory-read mat-T-vec, the DNC-D confidence scorer, and the
-     * sparse checkpoint encoder (frames are emitted dense). The
-     * cross-check gates and the sparsity sweeps in bench_hot_path /
-     * bench_shard use it as the reference/baseline; it is never what a
-     * serving deployment wants.
-     */
-    bool linkageDenseSweep = false;
-
     /** Interface vector width for these shapes (DNC paper layout). */
     Index
     interfaceSize() const
@@ -242,15 +230,6 @@ struct DncConfig
                        readSkipThreshold);
         if (telemetryTraceCapacity == 0)
             HIMA_FATAL("DncConfig: telemetryTraceCapacity must be >= 1");
-        if (linkageDenseSweep && linkageSkipThreshold > 0.0)
-            HIMA_FATAL("DncConfig: linkageDenseSweep ignores row activity; "
-                       "combining it with a nonzero linkageSkipThreshold "
-                       "(%f) is contradictory", linkageSkipThreshold);
-        if (linkageDenseSweep && readSkipThreshold > 0.0)
-            HIMA_FATAL("DncConfig: linkageDenseSweep forces the dense read "
-                       "stage; combining it with a nonzero "
-                       "readSkipThreshold (%f) is contradictory",
-                       readSkipThreshold);
     }
 };
 

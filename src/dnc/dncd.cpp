@@ -29,8 +29,7 @@ tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
     // a never-written (all-zero) row at the default threshold of 0: its
     // cosine is exactly +0.0/eps == +0.0, so folding a literal 0.0 into
     // the max without the O(W) dot leaves the chain bit-identical.
-    const DncConfig &cfg = tile.config();
-    const Real skipT = cfg.linkageDenseSweep ? -1.0 : cfg.readSkipThreshold;
+    const Real skipT = tile.config().readSkipThreshold;
     Real best = -1.0;
     for (Index i = 0; i < mem.rows(); ++i) {
         if (norms[i] <= skipT) {

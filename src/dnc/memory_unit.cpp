@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 
 #include "approx/fixed_point.h"
@@ -14,15 +13,14 @@ namespace hima {
 MemoryUnit::MemoryUnit(const DncConfig &config)
     : config_(config),
       addressing_(config.approximateSoftmax, config.softmaxSegments,
-                  config.readSkipThreshold, config.linkageDenseSweep),
+                  config.readSkipThreshold),
       usageSorter_(referenceUsageSort),
       skimK_(static_cast<Index>(config.skimRate *
                                 static_cast<Real>(config.memoryRows))),
       memory_(config.memoryRows, config.memoryWidth),
       rowNorms_(config.memoryRows),
       usage_(config.memoryRows),
-      linkage_(config.memoryRows, config.linkageSkipThreshold,
-               config.linkageDenseSweep),
+      linkage_(config.memoryRows, config.linkageSkipThreshold),
       writeWeighting_(config.memoryRows),
       readWeightings_(config.readHeads, Vector(config.memoryRows)),
       ws_(config.memoryRows, config.memoryWidth, config.readHeads)
@@ -255,17 +253,14 @@ MemoryUnit::softRead(const InterfaceVector &iface, MemoryReadout &out)
     // never-written (all-zero) rows at the default threshold of 0:
     // their contribution to every output word is +0.0 exactly, so
     // skipping them is bit-identical (the weightings are nonnegative).
-    // The dense escape gates nothing (no norm is <= -inf). Each output
-    // word keeps its row-ascending chain, so the result equals R
-    // separate per-head reads bit for bit, and so do the counters: the
-    // hardware reads all N rows once per head.
+    // Each output word keeps its row-ascending chain, so the result
+    // equals R separate per-head reads bit for bit, and so do the
+    // counters: the hardware reads all N rows once per head.
     {
         KernelScope scope(profiler_, Kernel::MemoryRead, r);
-        const Real gate = config_.linkageDenseSweep
-                              ? -std::numeric_limits<Real>::infinity()
-                              : config_.readSkipThreshold;
         const std::uint64_t skipped = matTVecHeadsSparseInto(
-            memory_, out.readWeightings, rowNorms_, gate, out.readVectors);
+            memory_, out.readWeightings, rowNorms_,
+            config_.readSkipThreshold, out.readVectors);
         auto &c = profiler_.at(Kernel::MemoryRead);
         c.macOps += static_cast<std::uint64_t>(r) * n * w;
         c.extMemAccesses += static_cast<std::uint64_t>(r) * n * w;

@@ -305,7 +305,7 @@ readRow<4>(const Real *row, Index n, const Real *wInt, Real *bwInt,
  * rows and keeps eight independent multiply-add chains in flight. The
  * backward lanes absorb the four rows' contributions in ascending row
  * order (four separate adds per j), and each forward accumulator keeps
- * its own j-ascending chain — still bit-identical to the standalone
+ * its own j-ascending chain — still bit-identical to the dense
  * kernels. The loop runs column pairs, one next-block prefetch per pair
  * (pf expects (n + 1) / 2 calls); the pair runs its two columns in
  * order, so the chains are the one-column loop's.
@@ -436,10 +436,9 @@ readQuad4Sparse(const Real *r0, Index n, const Index *cols, Index count,
 
 } // namespace
 
-TemporalLinkage::TemporalLinkage(Index slots, Real skipThreshold,
-                                 bool denseSweep)
-    : slots_(slots), skipThreshold_(skipThreshold), denseSweep_(denseSweep),
-      linkage_(slots, slots), precedence_(slots), rowMass_(slots)
+TemporalLinkage::TemporalLinkage(Index slots, Real skipThreshold)
+    : slots_(slots), skipThreshold_(skipThreshold), linkage_(slots, slots),
+      precedence_(slots), rowMass_(slots)
 {
     HIMA_ASSERT(slots_ > 0, "linkage needs at least one slot");
     HIMA_ASSERT(skipThreshold_ >= 0.0, "negative linkage skip threshold");
@@ -448,7 +447,7 @@ TemporalLinkage::TemporalLinkage(Index slots, Real skipThreshold,
     touchedList_.reserve(slots_);
 }
 
-Index
+void
 TemporalLinkage::gatherActiveRows(const Real *writeWeighting)
 {
     activeRows_.clear();  // keeps the reserved capacity — no alloc
@@ -459,13 +458,12 @@ TemporalLinkage::gatherActiveRows(const Real *writeWeighting)
         const bool writing = writeWeighting[i] > t;
         if (writing)
             touched_[i] = 1;
-        if (denseSweep_ || touched_[i])
+        if (touched_[i])
             touchedList_.push_back(i);
-        if (denseSweep_ || mass[i] > t || writing)
+        if (mass[i] > t || writing)
             activeRows_.push_back(i);
     }
     touchedListValid_ = true;
-    return static_cast<Index>(activeRows_.size());
 }
 
 const std::vector<Index> &
@@ -474,67 +472,11 @@ TemporalLinkage::touchedSlots() const
     if (!touchedListValid_) {
         touchedList_.clear();
         for (Index i = 0; i < slots_; ++i)
-            if (denseSweep_ || touched_[i])
+            if (touched_[i])
                 touchedList_.push_back(i);
         touchedListValid_ = true;
     }
     return touchedList_;
-}
-
-void
-TemporalLinkage::updateLinkage(const Vector &writeWeighting,
-                               KernelProfiler *profiler)
-{
-    HIMA_ASSERT(writeWeighting.size() == slots_, "write weighting length");
-
-    std::optional<KernelScope> scope;
-    if (profiler)
-        scope.emplace(*profiler, Kernel::Linkage);
-
-    // L[i][j] <- (1 - w[i] - w[j]) L[i][j] + w[i] p[j], diagonal zeroed,
-    // over the active rows and touched columns only. An inactive row
-    // (mass and write weight both at or below the threshold) is exactly
-    // zero at threshold 0 — its update computes (1 - 0 - w[j])*0 +
-    // 0*p[j] = 0 — and an untouched column j has row[j] == 0 and
-    // p[j] == 0, so its update computes (1 - wi - 0)*0 + wi*0 = 0;
-    // skipping both is bit-identical. Above 0 both skips are the
-    // paper-style approximation.
-    const Real *w = writeWeighting.data();
-    const Real *p = precedence_.data();
-    Real *L = linkage_.data();
-    const Index numActive = gatherActiveRows(w);
-    const Index *cols = touchedList_.data();
-    const Index tcount = static_cast<Index>(touchedList_.size());
-    const bool fullCols = tcount == slots_;
-    for (Index k = 0; k < numActive; ++k) {
-        const Index i = activeRows_[k];
-        const Real wi = w[i];
-        Real *row = L + i * slots_;
-        if (fullCols) {
-            for (Index j = 0; j < slots_; ++j)
-                row[j] = (1.0 - wi - w[j]) * row[j] + wi * p[j];
-        } else {
-            for (Index c = 0; c < tcount; ++c) {
-                const Index j = cols[c];
-                row[j] = (1.0 - wi - w[j]) * row[j] + wi * p[j];
-            }
-        }
-        row[i] = 0.0;
-        rowMass_[i] = rowMassOfTouched(row, cols, tcount);
-    }
-
-    if (profiler) {
-        auto &c = profiler->at(Kernel::Linkage);
-        const std::uint64_t n2 = static_cast<std::uint64_t>(slots_) * slots_;
-        c.elementOps += 4 * n2;          // sub, sub, mult, mac per cell
-        c.stateMemAccesses += 2 * n2 + 2 * slots_; // L rd+wr, w and p reads
-        const std::uint64_t skipped = slots_ - numActive;
-        c.skippedRows += skipped;
-        c.skippedOps += skipped * 4 * static_cast<std::uint64_t>(slots_);
-        // Column skips on the rows that were visited.
-        c.skippedOps += static_cast<std::uint64_t>(numActive) * 4 *
-                        (slots_ - tcount);
-    }
 }
 
 void
@@ -558,143 +500,6 @@ TemporalLinkage::updatePrecedence(const Vector &writeWeighting,
         auto &c = profiler->at(Kernel::Precedence);
         c.elementOps += 3 * slots_; // acc-sum + scale + add
         c.stateMemAccesses += 3 * slots_;
-    }
-}
-
-Vector
-TemporalLinkage::forwardWeighting(const Vector &prevReadWeighting,
-                                  KernelProfiler *profiler) const
-{
-    Vector f;
-    forwardWeightingInto(prevReadWeighting, f, profiler);
-    return f;
-}
-
-Vector
-TemporalLinkage::backwardWeighting(const Vector &prevReadWeighting,
-                                   KernelProfiler *profiler) const
-{
-    Vector b;
-    backwardWeightingInto(prevReadWeighting, b, profiler);
-    return b;
-}
-
-void
-TemporalLinkage::forwardWeightingInto(const Vector &prevReadWeighting,
-                                      Vector &f,
-                                      KernelProfiler *profiler) const
-{
-    HIMA_ASSERT(prevReadWeighting.size() == slots_, "read weighting length");
-
-    std::optional<KernelScope> scope;
-    if (profiler)
-        scope.emplace(*profiler, Kernel::ForwardBackward);
-
-    // f = L w_prev, sweeping only rows that carry mass and, within a
-    // row, only the touched columns. A skipped row's dot product would
-    // be +0.0 exactly at threshold 0 (all entries are zero), and a
-    // skipped column's term is +0.0 (untouched columns are exactly
-    // zero); the surviving per-row accumulation order is matVecInto's.
-    f.resize(slots_);
-    const Real *pm = linkage_.data();
-    const Real *px = prevReadWeighting.data();
-    const Real *mass = rowMass_.data();
-    const std::vector<Index> &tl = touchedSlots();
-    const Index *cols = tl.data();
-    const Index tcount = static_cast<Index>(tl.size());
-    const bool fullCols = tcount == slots_;
-    const Real t = skipThreshold_;
-    Real *py = f.data();
-    Index skipped = 0;
-    for (Index r = 0; r < slots_; ++r) {
-        if (!denseSweep_ && mass[r] <= t) {
-            py[r] = 0.0;
-            ++skipped;
-            continue;
-        }
-        const Real *row = pm + r * slots_;
-        Real acc = 0.0;
-        if (fullCols) {
-            for (Index c = 0; c < slots_; ++c)
-                acc += row[c] * px[c];
-        } else {
-            for (Index k = 0; k < tcount; ++k)
-                acc += row[cols[k]] * px[cols[k]];
-        }
-        py[r] = acc;
-    }
-    if (profiler) {
-        auto &c = profiler->at(Kernel::ForwardBackward);
-        const std::uint64_t n2 = static_cast<std::uint64_t>(slots_) * slots_;
-        c.macOps += n2;
-        c.stateMemAccesses += n2 + 2 * slots_;
-        c.skippedRows += skipped;
-        c.skippedOps +=
-            static_cast<std::uint64_t>(skipped) * slots_;
-        c.skippedOps += static_cast<std::uint64_t>(slots_ - skipped) *
-                        (slots_ - tcount);
-    }
-}
-
-void
-TemporalLinkage::backwardWeightingInto(const Vector &prevReadWeighting,
-                                       Vector &b,
-                                       KernelProfiler *profiler) const
-{
-    HIMA_ASSERT(prevReadWeighting.size() == slots_, "read weighting length");
-
-    std::optional<KernelScope> scope;
-    if (profiler)
-        scope.emplace(*profiler, Kernel::ForwardBackward);
-
-    // The hardware path is transpose + mat-vec (Table 1); the functional
-    // path fuses them to avoid materializing L^T, and additionally skips
-    // massless rows and untouched columns — the column-sparse backward
-    // sweep: instead of scanning each visited row's dense columns, it
-    // scatters into the touched columns only (the transpose of the
-    // active-row structure). A skipped row contributes row[c]*xv = +0.0
-    // to every accumulator at threshold 0 and a skipped column's output
-    // stays the +0.0 it was zero-filled with, so dropping both never
-    // changes a bit. Visited rows accumulate in ascending-r order and
-    // visited columns in ascending-c order, matTVecInto's order.
-    b.resize(slots_);
-    const Real *pm = linkage_.data();
-    const Real *px = prevReadWeighting.data();
-    const Real *mass = rowMass_.data();
-    const std::vector<Index> &tl = touchedSlots();
-    const Index *cols = tl.data();
-    const Index tcount = static_cast<Index>(tl.size());
-    const bool fullCols = tcount == slots_;
-    const Real t = skipThreshold_;
-    Real *py = b.data();
-    for (Index c = 0; c < slots_; ++c)
-        py[c] = 0.0;
-    Index skipped = 0;
-    for (Index r = 0; r < slots_; ++r) {
-        if (!denseSweep_ && mass[r] <= t) {
-            ++skipped;
-            continue;
-        }
-        const Real xv = px[r];
-        const Real *row = pm + r * slots_;
-        if (fullCols) {
-            for (Index c = 0; c < slots_; ++c)
-                py[c] += row[c] * xv;
-        } else {
-            for (Index k = 0; k < tcount; ++k)
-                py[cols[k]] += row[cols[k]] * xv;
-        }
-    }
-    if (profiler) {
-        auto &c = profiler->at(Kernel::ForwardBackward);
-        const std::uint64_t n2 = static_cast<std::uint64_t>(slots_) * slots_;
-        c.macOps += n2;
-        c.stateMemAccesses += n2 + 2 * slots_;
-        c.skippedRows += skipped;
-        c.skippedOps +=
-            static_cast<std::uint64_t>(skipped) * slots_;
-        c.skippedOps += static_cast<std::uint64_t>(slots_ - skipped) *
-                        (slots_ - tcount);
     }
 }
 
@@ -760,7 +565,7 @@ TemporalLinkage::updateAndRead(const Vector &writeWeighting,
  * lane loops and fuse them into SIMD over the interleaved buffers. Each
  * head's accumulation chain keeps its own lane and its own order, and
  * multiplies/adds round separately (FMA contraction is off), so the
- * results are bit-identical to the standalone kernels at any R.
+ * results are bit-identical to the dense kernels at any R.
  */
 template <Index R>
 void
@@ -807,8 +612,8 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
     // it does when a server steps several N=1024 lanes in turn (8 MB of
     // linkage each).
     // Blocks are runs of *consecutive* active rows (up to kBlock long),
-    // so an all-active matrix blocks exactly as the dense sweep did and
-    // a sparse one pays only for the rows it visits.
+    // so an all-active matrix runs in plain four-row blocks and a
+    // sparse one pays only for the rows it visits.
     //
     // One clock pair times the whole sweep; the profiler splits it
     // between Linkage and ForwardBackward by their op counts for the
@@ -843,8 +648,9 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
         cursor += blockLen;
         const Index nextLen = cursor < numActive ? blockLenAt(cursor) : 0;
 
-        // HR.(1): update rows [blockStart, blockEnd) of L, exactly as
-        // updateLinkage() does, refreshing each row's mass cache from
+        // HR.(1): update rows [blockStart, blockEnd) of L,
+        // L[i][j] <- (1 - w[i] - w[j]) L[i][j] + w[i] p[j] with the
+        // diagonal zeroed, refreshing each row's mass cache from
         // the finished row (the fixed lane order restoreState() uses).
         // Untouched columns hold +0.0 in row, p and w's touched test,
         // so iterating only the touched columns is bit-identical.
@@ -968,7 +774,7 @@ TemporalLinkage::updateAndReadImpl(const Vector &writeWeighting,
         link.skippedOps += static_cast<std::uint64_t>(numActive) * 4 *
                            (slots_ - tcount);
         auto &fb = profiler->at(Kernel::ForwardBackward);
-        fb.invocations += 2 * heads; // mirrors the 2R standalone calls
+        fb.invocations += 2 * heads; // the hardware's 2R read kernels
         fb.nanoseconds += readNs;
         fb.macOps += 2 * heads * n2;
         fb.stateMemAccesses += 2 * heads * (n2 + 2 * slots_);
@@ -1037,22 +843,6 @@ TemporalLinkage::restoreState(const Vector &linkageFlat,
         prev = s;
     }
     rebuildMassAndMarkTouched();
-}
-
-void
-TemporalLinkage::restoreState(const Vector &linkageFlat,
-                              const Vector &precedence)
-{
-    static const std::vector<Index> kNone;
-    restoreState(linkageFlat, precedence, kNone);
-    // Without a snapshotted touched set, slots whose precedence still
-    // carries mass must count as touched: their columns receive
-    // w[i]*p[j] on the very next update. (See the header comment for
-    // the positive-threshold caveat.)
-    for (Index j = 0; j < slots_; ++j)
-        if (precedence_[j] != 0.0)
-            touched_[j] = 1;
-    touchedListValid_ = false;
 }
 
 } // namespace hima

@@ -43,7 +43,8 @@ namespace hima {
  * touched slots instead of O(A * N).
  *
  * At threshold 0 (default) only exactly-zero rows/columns are skipped
- * and every kernel is bit-identical to the dense sweep (a skipped row
+ * and the sweep is bit-identical to the dense O(N^2) kernels of the
+ * reference model in tests/dense_reference.h (a skipped row
  * or column would have computed to all zeros and contributed +0.0
  * everywhere). A positive threshold additionally freezes rows whose
  * mass has decayed below it and drops the sub-threshold precedence
@@ -62,19 +63,8 @@ class TemporalLinkage
      * Construct zeroed state for an N-slot memory.
      *
      * @param skipThreshold active-row threshold (see class comment)
-     * @param denseSweep    bench/test escape: never skip any row
      */
-    explicit TemporalLinkage(Index slots, Real skipThreshold = 0.0,
-                             bool denseSweep = false);
-
-    /**
-     * HR.(1) Linkage update:
-     *   L <- {(E - w 1^T - 1 w^T) .* L + w p^T} .* (E - I)
-     * with w the current write weighting and p the *previous* precedence.
-     * Must run before updatePrecedence() each timestep.
-     */
-    void updateLinkage(const Vector &writeWeighting,
-                       KernelProfiler *profiler = nullptr);
+    explicit TemporalLinkage(Index slots, Real skipThreshold = 0.0);
 
     /**
      * HR.(2) Precedence update: p <- (1 - sum(w)) p + w.
@@ -82,41 +72,30 @@ class TemporalLinkage
     void updatePrecedence(const Vector &writeWeighting,
                           KernelProfiler *profiler = nullptr);
 
-    /** HR.(3) Forward weighting f = L w_prev. */
-    Vector forwardWeighting(const Vector &prevReadWeighting,
-                            KernelProfiler *profiler = nullptr) const;
-
-    /** HR.(3) Backward weighting b = L^T w_prev. */
-    Vector backwardWeighting(const Vector &prevReadWeighting,
-                             KernelProfiler *profiler = nullptr) const;
-
-    /** Destination-passing forward weighting (f resized + overwritten). */
-    void forwardWeightingInto(const Vector &prevReadWeighting, Vector &f,
-                              KernelProfiler *profiler = nullptr) const;
-
-    /** Destination-passing backward weighting (b resized + overwritten). */
-    void backwardWeightingInto(const Vector &prevReadWeighting, Vector &b,
-                               KernelProfiler *profiler = nullptr) const;
-
     /**
-     * Fused update + read sweep: updateLinkage(writeWeighting) followed
-     * by forward[h] = L w_prev[h] and backward[h] = L^T w_prev[h] for
-     * every head, all in one blocked traversal of L.
+     * Fused update + read sweep, in one blocked traversal of L:
      *
-     * Bit-identical to the separate kernels — every per-element
-     * accumulation runs in the same order — but the N x N linkage
-     * matrix moves through DRAM once per step instead of once per
-     * kernel invocation (2 + 2R passes), which is what the O(N^2)
-     * kernels are bound by at large N. While one block of rows is read,
-     * the next block's rows are prefetched into L2, so a matrix that has
-     * left the cache does not stall every block. Profiler op counts and
-     * invocation counts match the separate calls. One clock pair times
-     * the whole sweep, and the time is split between Linkage and
-     * ForwardBackward in proportion to their op counts for the call
-     * (4 : 2R); both are History-based Read in Fig. 4.
+     *   HR.(1) L <- {(E - w 1^T - 1 w^T) .* L + w p^T} .* (E - I), with w
+     *          the current write weighting and p the *previous*
+     *          precedence;
+     *   HR.(3) forward[h] = L w_prev[h] and backward[h] = L^T w_prev[h]
+     *          for every head, over the updated L.
+     *
+     * Bit-identical to the dense kernels run one after the other —
+     * forward dots accumulate over ascending columns and backward sums
+     * over ascending rows — but the N x N linkage matrix moves through
+     * DRAM once per step instead of once per kernel (2 + 2R passes),
+     * which is what the O(N^2) kernels are bound by at large N. While
+     * one block of rows is read, the next block's rows are prefetched
+     * into L2, so a matrix that has left the cache does not stall every
+     * block. The profiler is charged as the hardware runs the kernels:
+     * one Linkage invocation and 2R ForwardBackward invocations. One
+     * clock pair times the whole sweep, and the time is split between
+     * Linkage and ForwardBackward in proportion to their op counts for
+     * the call (4 : 2R); both are History-based Read in Fig. 4.
      *
      * Does not touch the precedence vector: call updatePrecedence()
-     * afterwards, exactly as with the separate kernels.
+     * afterwards.
      */
     void updateAndRead(const Vector &writeWeighting,
                        const std::vector<Vector> &prevReadWeightings,
@@ -155,8 +134,7 @@ class TemporalLinkage
 
     /**
      * The monotone touched-slot set: slots whose write weight exceeded
-     * the skip threshold at some step since the last reset (every slot
-     * when the dense escape is on), ascending. This is the column set
+     * the skip threshold at some step since the last reset, ascending. This is the column set
      * every sweep iterates, and the set checkpoints must carry for a
      * restore to reproduce an undisturbed run at positive thresholds.
      */
@@ -181,17 +159,6 @@ class TemporalLinkage
     void restoreState(const Vector &linkageFlat, const Vector &precedence,
                       const std::vector<Index> &touchedSlots);
 
-    /**
-     * Legacy two-argument restore: derives the touched set as {columns
-     * with nonzero mass} union {slots with nonzero precedence}. At
-     * threshold 0 that is exactly the semantic touched set (modulo
-     * fully-decayed slots, whose handling is bit-identical either way);
-     * at positive thresholds it can over-mark slots whose write weight
-     * never exceeded the threshold — prefer the three-argument form,
-     * which checkpoints use.
-     */
-    void restoreState(const Vector &linkageFlat, const Vector &precedence);
-
   private:
     /** updateAndRead() body specialized on the head count R. */
     template <Index R>
@@ -205,7 +172,7 @@ class TemporalLinkage
      * fold newly written slots into the touched set, and rebuild
      * touchedList_ — one O(N) pass per step.
      */
-    Index gatherActiveRows(const Real *writeWeighting);
+    void gatherActiveRows(const Real *writeWeighting);
 
     /**
      * Rebuild rowMass_ from the full matrix (restoreState's recompute,
@@ -216,7 +183,6 @@ class TemporalLinkage
 
     Index slots_;
     Real skipThreshold_;
-    bool denseSweep_;
     Matrix linkage_;
     Vector precedence_;
     Vector rowMass_; ///< per-row sum of |L[i][j]| (see rowMass())

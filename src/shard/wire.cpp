@@ -65,7 +65,6 @@ WireConfig::fromShard(const DncConfig &shard, Index tiles, Index firstTile,
     wc.writeSkipThreshold = shard.writeSkipThreshold;
     wc.linkageSkipThreshold = shard.linkageSkipThreshold;
     wc.readSkipThreshold = shard.readSkipThreshold;
-    wc.denseSweep = shard.linkageDenseSweep ? 1 : 0;
     wc.firstTile = firstTile;
     wc.tiles = tiles;
     return wc;
@@ -86,7 +85,6 @@ WireConfig::toShardConfig() const
     cfg.writeSkipThreshold = writeSkipThreshold;
     cfg.linkageSkipThreshold = linkageSkipThreshold;
     cfg.readSkipThreshold = readSkipThreshold;
-    cfg.linkageDenseSweep = denseSweep != 0;
     return cfg;
 }
 
@@ -428,7 +426,6 @@ putConfigBody(const WireConfig &config, WireWriter &out)
     out.putReal(config.writeSkipThreshold);
     out.putReal(config.linkageSkipThreshold);
     out.putReal(config.readSkipThreshold);
-    out.putU8(config.denseSweep);
     out.putU64(config.firstTile);
     out.putU64(config.tiles);
 }
@@ -449,7 +446,6 @@ readConfigBody(WireReader &in, WireConfig &config)
     config.writeSkipThreshold = in.real();
     config.linkageSkipThreshold = in.real();
     config.readSkipThreshold = in.real();
-    config.denseSweep = in.u8();
     config.firstTile = in.u64();
     config.tiles = in.u64();
 }
@@ -476,31 +472,28 @@ rowHasNonzero(const Real *row, Index count)
  * row-pair sections (encoding 1; rowNorms omitted — the decoder
  * rebuilds them from the shipped rows). Each tile takes whichever
  * encoding is byte-smaller, so the dense size bounds every frame (the
- * shm slot sizing relies on that); `denseSweep` forces dense.
+ * shm slot sizing relies on that).
  */
 void
 putStateBodyV6(const Real *mem, const Real *rowNorms, const Real *usage,
                const Real *link, const Real *prec, const Real *ww,
                const Real *const *readW, Index n, Index w, Index r,
-               const std::vector<Index> &touched, bool denseSweep,
-               WireWriter &out)
+               const std::vector<Index> &touched, WireWriter &out)
 {
     Index memRows = 0;
     Index linkRows = 0;
-    if (!denseSweep) {
-        for (Index i = 0; i < n; ++i)
-            if (rowHasNonzero(mem + i * w, w))
-                ++memRows;
-        for (Index i = 0; i < n; ++i)
-            if (rowHasNonzero(link + i * n, n))
-                ++linkRows;
-    }
+    for (Index i = 0; i < n; ++i)
+        if (rowHasNonzero(mem + i * w, w))
+            ++memRows;
+    for (Index i = 0; i < n; ++i)
+        if (rowHasNonzero(link + i * n, n))
+            ++linkRows;
     const std::size_t denseBytes =
         8 * (static_cast<std::size_t>(n) * w + n + n * static_cast<std::size_t>(n));
     const std::size_t sparseBytes =
         8 + memRows * (4 + 8 * static_cast<std::size_t>(w)) +
         linkRows * (4 + 8 * static_cast<std::size_t>(n));
-    const bool sparse = !denseSweep && sparseBytes < denseBytes;
+    const bool sparse = sparseBytes < denseBytes;
 
     out.putU8(sparse ? 1 : 0);
     out.putU32(static_cast<std::uint32_t>(touched.size()));
@@ -566,8 +559,7 @@ putTileStateBody(const MemoryUnit &tile, WireWriter &out)
                    tile.usage().data(), tile.linkage().linkage().data(),
                    tile.linkage().precedence().data(),
                    tile.writeWeighting().data(), readW, cfg.memoryRows,
-                   cfg.memoryWidth, r, tile.linkage().touchedSlots(),
-                   cfg.linkageDenseSweep, out);
+                   cfg.memoryWidth, r, tile.linkage().touchedSlots(), out);
 }
 
 void
@@ -582,8 +574,7 @@ putSnapshotBody(const MemoryTileState &s, const DncConfig &shard,
     putStateBodyV6(s.memory.data(), s.rowNorms.data(), s.usage.data(),
                    s.linkage.data(), s.precedence.data(),
                    s.writeWeighting.data(), readW, shard.memoryRows,
-                   shard.memoryWidth, r, s.touchedSlots,
-                   shard.linkageDenseSweep, out);
+                   shard.memoryWidth, r, s.touchedSlots, out);
 }
 
 /**

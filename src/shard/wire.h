@@ -67,12 +67,13 @@
  * bit-identically). The encoder picks per tile whichever encoding is
  * byte-smaller — early-episode snapshots shrink by ~N/A while a
  * saturated memory falls back to dense, which also bounds the shm slot
- * size — and `linkageDenseSweep` configs always emit dense frames.
+ * size.
  * Sparse decoders stay fail-closed: counts are capped by the handshake
  * shapes, indices must be strictly ascending and in range, the
  * encoding byte must be known, and truncation anywhere returns false.
- * The handshake grows the read-stage knobs (readSkipThreshold,
- * denseSweep) so coordinator and worker agree on the sparse datapath.
+ * The handshake grows the read-stage knobs (readSkipThreshold and a
+ * forced-dense-sweep byte) so coordinator and worker agree on the
+ * sparse datapath.
  *
  * Version 7 leaves one step frame on the wire. Each LaneStep entry opens
  * with a tag byte: a broadcast entry carries one interface every hosted
@@ -86,6 +87,12 @@
  * the retired values fail peekType(). LaneStepReply decoding rejects
  * any non-finite Real: one NaN logit would otherwise poison a lane's
  * merge softmax.
+ *
+ * Version 8 drops the handshake's forced-dense-sweep byte: tiles run one
+ * linkage sweep, and each checkpoint tile body takes whichever encoding
+ * is byte-smaller, with no override. Every other field keeps its order.
+ * A v7 Hello still carries the byte, so it would misparse as v8; the
+ * version check refuses it before any field is read.
  */
 
 #ifndef HIMA_SHARD_WIRE_H
@@ -105,9 +112,9 @@ namespace hima {
 /** Protocol magic ("HM") — first two payload bytes of every message. */
 constexpr std::uint16_t kWireMagic = 0x484D;
 
-/** Protocol version; bumped on any layout change (v7: tagged LaneStep
- * entries, Hello tile assignment, single-lane frames retired). */
-constexpr std::uint8_t kWireVersion = 7;
+/** Protocol version; bumped on any layout change (v8: the Hello's
+ * forced-dense-sweep byte retired). */
+constexpr std::uint8_t kWireVersion = 8;
 
 /** Largest legal payload (guards framing against garbage lengths). */
 constexpr std::uint32_t kWireMaxFrameBytes = 64u << 20;
@@ -172,7 +179,6 @@ struct WireConfig
     Real writeSkipThreshold = 0.0;
     Real linkageSkipThreshold = 0.0;
     Real readSkipThreshold = 0.0;
-    std::uint8_t denseSweep = 0; ///< forces dense sweeps + dense frames
     std::uint64_t firstTile = 0; ///< first global tile hosted
     std::uint64_t tiles = 0;     ///< global tile count Nt
 
@@ -441,8 +447,7 @@ void encodeCheckpointRequest(std::uint64_t seq, WireWriter &out);
  * ascending and covering exactly the rows holding a nonzero entry,
  * then dense usage/precedence/writeWeighting/readWeightings — the
  * row-norm cache is omitted and rebuilt on decode). Each tile uses
- * whichever encoding is byte-smaller; `shard.linkageDenseSweep` forces
- * encoding 0.
+ * whichever encoding is byte-smaller.
  */
 void encodeCheckpointState(std::uint64_t seq,
                            const std::vector<std::unique_ptr<MemoryUnit>>

@@ -141,12 +141,7 @@ ShardWorker::applyConfig(const WireConfig &wire, HelloAckMsg &ack)
                !(wire.linkageSkipThreshold >= 0.0 &&
                  wire.linkageSkipThreshold < 1.0) ||
                !(wire.readSkipThreshold >= 0.0 &&
-                 wire.readSkipThreshold < 1.0) ||
-               wire.denseSweep > 1 ||
-               // The dense escape forces the dense read stage, so a
-               // positive read threshold alongside it is a conflicting
-               // handshake (mirrors DncConfig::validate).
-               (wire.denseSweep != 0 && wire.readSkipThreshold > 0.0)) {
+                 wire.readSkipThreshold < 1.0)) {
         // Shape/datapath validation at connect: mirror DncConfig's
         // rules without tripping its fatal path inside a server.
         ack.ok = false;

@@ -5,8 +5,9 @@
  *
  * The pattern every fast path in this repo must satisfy is "bit-identical
  * to the reference model" — not approximately equal, identical. This
- * header centralizes the machinery: one-row scalar references for the
- * memory kernels' SIMD bodies, deterministic input-stream generation, a
+ * header centralizes the machinery: the dense reference memory unit
+ * (dense_reference.h), one-row scalar references for the memory kernels'
+ * SIMD bodies, deterministic input-stream generation, a
  * randomized-but-valid scripted interface generator (shared by the
  * memory-unit, DNC-D and determinism suites), and a lockstep
  * runner that steps a BatchedDnc next to batchSize independent reference
@@ -25,6 +26,7 @@
 
 #include "approx/fixed_point.h"
 #include "common/random.h"
+#include "dense_reference.h"
 #include "dnc/dnc.h"
 #include "serve/batched_dnc.h"
 

@@ -14,6 +14,7 @@
 
 #include "dnc/memory_unit.h"
 #include "dnc/temporal_linkage.h"
+#include "dense_reference.h"
 #include "golden_util.h"
 
 namespace hima {
@@ -101,50 +102,50 @@ TEST(SparseConfigDeathTest, RejectsBadReadSkipThreshold)
     EXPECT_DEATH(cfg.validate(), "read skip threshold");
 }
 
-TEST(SparseConfigDeathTest, RejectsDenseSweepWithPositiveReadSkip)
-{
-    DncConfig cfg = sparseCfg();
-    cfg.linkageDenseSweep = true;
-    cfg.readSkipThreshold = 0.25;
-    EXPECT_DEATH(cfg.validate(), "contradictory");
-}
-
 // ------------------------------------------------------ sparse == dense
 
 /**
  * The standing contract: at threshold 0 the sparse read stage, sparse
  * memory read and column-sparse linkage sweeps are bit-identical to the
- * dense escape, across allocation-gated one-hot traffic, mixed soft
- * traffic and episode resets.
+ * dense reference model (tests/dense_reference.h), across
+ * allocation-gated one-hot traffic, mixed soft traffic and episode
+ * resets, at every state the reference keeps. The shapes reach the
+ * fused sweep's readQuad4 blocks (R=4), its compile-time readRow<R>
+ * (R=1, 2) and its runtime-R fallback (R=3), and the content scores'
+ * even-width AVX2 blocks and odd-width scalar rows (W=7).
  */
 TEST(SparseReadStage, ChurnLockstepBitIdenticalToDense)
 {
-    const DncConfig sparse = sparseCfg();
-    DncConfig dense = sparse;
-    dense.linkageDenseSweep = true;
-    MemoryUnit a(sparse);
-    MemoryUnit b(dense);
-    MemoryReadout ra, rb;
-    Rng rng(0x5eadULL);
-    for (int step = 0; step < 160; ++step) {
-        if (step > 0 && step % 40 == 0) {
-            a.reset();
-            b.reset();
+    struct Shape
+    {
+        Index n, w, r;
+    };
+    for (const Shape shape : {Shape{48, 16, 2}, Shape{37, 6, 3},
+                              Shape{64, 7, 1}, Shape{128, 64, 4}}) {
+        SCOPED_TRACE(::testing::Message() << "N=" << shape.n
+                                          << " W=" << shape.w
+                                          << " R=" << shape.r);
+        DncConfig cfg = sparseCfg(shape.n);
+        cfg.memoryWidth = shape.w;
+        cfg.readHeads = shape.r;
+        MemoryUnit unit(cfg);
+        dense::MemoryUnitSim ref(cfg);
+        MemoryReadout out;
+        Rng rng(0x5eadULL + shape.n);
+        for (int step = 0; step < 160; ++step) {
+            if (step > 0 && step % 40 == 0) {
+                unit.reset();
+                ref.reset();
+            }
+            const InterfaceVector iface =
+                (step % 40 < 12) ? allocationIface(cfg, rng)
+                                 : golden::randomIface(cfg, rng);
+            unit.stepInto(iface, out);
+            const MemoryReadout refOut = ref.step(iface);
+            ASSERT_STREQ(dense::firstMismatch(ref, refOut, unit, out),
+                         nullptr)
+                << "step " << step;
         }
-        const InterfaceVector iface = (step % 40 < 12)
-                                          ? allocationIface(sparse, rng)
-                                          : golden::randomIface(sparse, rng);
-        a.stepInto(iface, ra);
-        b.stepInto(iface, rb);
-        for (Index h = 0; h < sparse.readHeads; ++h) {
-            EXPECT_TRUE(ra.readVectors[h] == rb.readVectors[h])
-                << "read vector head " << h << " step " << step;
-            EXPECT_TRUE(ra.readWeightings[h] == rb.readWeightings[h])
-                << "read weighting head " << h << " step " << step;
-        }
-        EXPECT_TRUE(ra.writeWeighting == rb.writeWeighting)
-            << "write weighting step " << step;
-        expectUnitsIdentical(a, b, step);
     }
 }
 
@@ -208,16 +209,18 @@ TEST(SparseReadStage, UntouchedSlotsCarryExactlyZeroReadWeight)
     Vector prev(cfg.memoryRows, 0.0);
     for (Index s : written)
         prev[s] = 1.0 / static_cast<Real>(written.size());
-    Vector f, b;
-    mu.linkage().forwardWeightingInto(prev, f);
-    mu.linkage().backwardWeightingInto(prev, b);
+    // Read through a copy of the linkage with a zero write weighting,
+    // whose update leaves L exactly as it is.
+    TemporalLinkage probe = mu.linkage();
+    std::vector<Vector> f, b;
+    probe.updateAndRead(Vector(cfg.memoryRows), {prev}, f, b);
     for (Index j = 0; j < cfg.memoryRows; ++j) {
         if (written.count(j))
             continue;
-        EXPECT_EQ(f[j], 0.0) << "forward weight at untouched slot " << j;
-        EXPECT_FALSE(std::signbit(f[j])) << "-0.0 at slot " << j;
-        EXPECT_EQ(b[j], 0.0) << "backward weight at untouched slot " << j;
-        EXPECT_FALSE(std::signbit(b[j])) << "-0.0 at slot " << j;
+        EXPECT_EQ(f[0][j], 0.0) << "forward weight at untouched slot " << j;
+        EXPECT_FALSE(std::signbit(f[0][j])) << "-0.0 at slot " << j;
+        EXPECT_EQ(b[0][j], 0.0) << "backward weight at untouched slot " << j;
+        EXPECT_FALSE(std::signbit(b[0][j])) << "-0.0 at slot " << j;
     }
 }
 

@@ -824,6 +824,53 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
     EXPECT_FALSE(decodeCheckpointRequest(frame.data(), frame.size(), seq));
 }
 
+/** Collects the reply frames of direct handleFrame() calls. */
+struct CollectSink final : FrameSink
+{
+    std::vector<std::vector<std::uint8_t>> frames;
+    void
+    sendFrame(const std::uint8_t *data, std::size_t size) override
+    {
+        frames.emplace_back(data, data + size);
+    }
+};
+
+/**
+ * v8 retired the Hello's forced-dense-sweep byte, which sat between
+ * readSkipThreshold and firstTile. A v7 Hello still carries it, so its
+ * tile assignment sits one byte off the v8 layout. The version check
+ * must refuse the frame before any field is read: a worker answers it
+ * with a header Error, never with a HelloAck for a misparsed config.
+ */
+TEST(WireVersionSkew, V7HelloWithRetiredByteIsRefusedUnparsed)
+{
+    const DncConfig cfg = shardCfg();
+    WireWriter w;
+    encodeHello(WireConfig::fromShard(cfg, 2, 0, 2, 1), w);
+    std::vector<std::uint8_t> v7 = w.buffer();
+    // Header, six u64 shapes, the softmax u8 + u32, the fixed-point u8
+    // and four Reals; firstTile and tiles (two u64) follow.
+    constexpr std::size_t kRetiredByteOffset = 4 + 6 * 8 + 1 + 4 + 1 + 4 * 8;
+    ASSERT_EQ(v7.size(), kRetiredByteOffset + 2 * 8);
+    v7.insert(v7.begin() + kRetiredByteOffset, 1);
+    v7[2] = 7;
+
+    MsgType type;
+    WireConfig got;
+    EXPECT_FALSE(peekType(v7.data(), v7.size(), type));
+    EXPECT_FALSE(decodeHello(v7.data(), v7.size(), got));
+
+    ShardWorker worker;
+    CollectSink sink;
+    EXPECT_TRUE(worker.handleFrame(v7.data(), v7.size(), sink));
+    ASSERT_EQ(sink.frames.size(), 1u);
+    ErrorMsg err;
+    ASSERT_TRUE(decodeError(sink.frames[0].data(), sink.frames[0].size(),
+                            err));
+    EXPECT_EQ(err.message, "malformed frame header");
+    EXPECT_FALSE(worker.configured());
+}
+
 // --------------------------------------------------------------------
 // Loopback framing.
 // --------------------------------------------------------------------
@@ -959,26 +1006,23 @@ constexpr std::size_t kFirstTileOffset = 28;
 TEST(WireV6, SparseEncodingChosenAtEarlyEpisodeStateAndShrinksFrame)
 {
     const DncConfig cfg = shardCfg();
-    DncConfig denseCfg = cfg;
-    denseCfg.linkageDenseSweep = true;
-
     std::vector<std::unique_ptr<MemoryUnit>> sparseTiles;
-    std::vector<std::unique_ptr<MemoryUnit>> denseTiles;
+    std::vector<std::unique_ptr<MemoryUnit>> saturatedTiles;
     sparseTiles.push_back(std::make_unique<MemoryUnit>(cfg));
-    denseTiles.push_back(std::make_unique<MemoryUnit>(denseCfg));
+    saturatedTiles.push_back(std::make_unique<MemoryUnit>(cfg));
     MemoryReadout out;
-    for (int step = 0; step < 3; ++step) {
-        const InterfaceVector iface = allocIface(cfg, 40 + step);
-        sparseTiles[0]->stepInto(iface, out);
-        denseTiles[0]->stepInto(iface, out);
-    }
+    for (int step = 0; step < 3; ++step)
+        sparseTiles[0]->stepInto(allocIface(cfg, 40 + step), out);
+    // Soft writes touch every row, so this tile's frame is dense.
+    for (int step = 0; step < 4; ++step)
+        saturatedTiles[0]->stepInto(sampleIface(cfg, 60 + step), out);
 
     WireWriter sparseFrame, denseFrame;
     encodeCheckpointState(9, sparseTiles, cfg, sparseFrame);
-    encodeCheckpointState(9, denseTiles, denseCfg, denseFrame);
+    encodeCheckpointState(9, saturatedTiles, cfg, denseFrame);
 
-    // 3 of 16 memory/linkage rows hold mass: sparse must win by bytes;
-    // the dense escape must force encoding 0 regardless.
+    // 3 of 16 memory/linkage rows hold mass: sparse must win by bytes
+    // over the saturated tile's dense frame.
     EXPECT_EQ(sparseFrame.buffer()[kFirstTileOffset], 1u);
     EXPECT_EQ(denseFrame.buffer()[kFirstTileOffset], 0u);
     EXPECT_LT(sparseFrame.buffer().size(), denseFrame.buffer().size());
