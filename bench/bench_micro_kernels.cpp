@@ -119,8 +119,9 @@ BM_LinkageUpdateAndRead(benchmark::State &state)
     for (auto _ : state) {
         tl.updateAndRead(w, reads, forward, backward);
         tl.updatePrecedence(w);
-        benchmark::DoNotOptimize(forward.data());
-        benchmark::DoNotOptimize(backward.data());
+        benchmark::DoNotOptimize(forward[0].data());
+        benchmark::DoNotOptimize(backward[0].data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_LinkageUpdateAndRead)

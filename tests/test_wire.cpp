@@ -824,53 +824,6 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
     EXPECT_FALSE(decodeCheckpointRequest(frame.data(), frame.size(), seq));
 }
 
-/** Collects the reply frames of direct handleFrame() calls. */
-struct CollectSink final : FrameSink
-{
-    std::vector<std::vector<std::uint8_t>> frames;
-    void
-    sendFrame(const std::uint8_t *data, std::size_t size) override
-    {
-        frames.emplace_back(data, data + size);
-    }
-};
-
-/**
- * v8 retired the Hello's forced-dense-sweep byte, which sat between
- * readSkipThreshold and firstTile. A v7 Hello still carries it, so its
- * tile assignment sits one byte off the v8 layout. The version check
- * must refuse the frame before any field is read: a worker answers it
- * with a header Error, never with a HelloAck for a misparsed config.
- */
-TEST(WireVersionSkew, V7HelloWithRetiredByteIsRefusedUnparsed)
-{
-    const DncConfig cfg = shardCfg();
-    WireWriter w;
-    encodeHello(WireConfig::fromShard(cfg, 2, 0, 2, 1), w);
-    std::vector<std::uint8_t> v7 = w.buffer();
-    // Header, six u64 shapes, the softmax u8 + u32, the fixed-point u8
-    // and four Reals; firstTile and tiles (two u64) follow.
-    constexpr std::size_t kRetiredByteOffset = 4 + 6 * 8 + 1 + 4 + 1 + 4 * 8;
-    ASSERT_EQ(v7.size(), kRetiredByteOffset + 2 * 8);
-    v7.insert(v7.begin() + kRetiredByteOffset, 1);
-    v7[2] = 7;
-
-    MsgType type;
-    WireConfig got;
-    EXPECT_FALSE(peekType(v7.data(), v7.size(), type));
-    EXPECT_FALSE(decodeHello(v7.data(), v7.size(), got));
-
-    ShardWorker worker;
-    CollectSink sink;
-    EXPECT_TRUE(worker.handleFrame(v7.data(), v7.size(), sink));
-    ASSERT_EQ(sink.frames.size(), 1u);
-    ErrorMsg err;
-    ASSERT_TRUE(decodeError(sink.frames[0].data(), sink.frames[0].size(),
-                            err));
-    EXPECT_EQ(err.message, "malformed frame header");
-    EXPECT_FALSE(worker.configured());
-}
-
 // --------------------------------------------------------------------
 // Loopback framing.
 // --------------------------------------------------------------------
