@@ -167,11 +167,13 @@ struct MemoryUnitSim
             for (Index i = 0; i < n; ++i)
                 psi[i] *= 1.0 - gate * readWeightings[r][i];
         }
+        Vector newUsage(n);
         for (Index i = 0; i < n; ++i) {
             const Real u = usage[i];
             const Real wv = writeWeighting[i];
-            usage[i] = (u + wv - u * wv) * psi[i];
+            newUsage[i] = (u + wv - u * wv) * psi[i];
         }
+        usage = newUsage;
 
         std::vector<SortRecord> records;
         records.reserve(n);
