@@ -192,9 +192,10 @@ class TemporalLinkage
     std::vector<Index> activeRows_;
 
     // Monotone touched-slot flags (cleared on reset) and their ascending
-    // index list. The list is rebuilt lazily — the const read kernels
-    // consume it, so it is mutable and revalidated on demand; capacity
-    // is reserved at construction, keeping steady state allocation-free.
+    // index list. The list is rebuilt lazily — checkpoint capture reads
+    // it through a const tile, so it is mutable and revalidated on
+    // demand; capacity is reserved at construction, keeping steady state
+    // allocation-free.
     std::vector<std::uint8_t> touched_;
     mutable std::vector<Index> touchedList_;
     mutable bool touchedListValid_ = false;
