@@ -14,7 +14,8 @@
  * backward weightings L^T w over ascending rows, every dot product over
  * ascending words.
  *
- * gtest-free, so the benches include it too.
+ * gtest-free, so the benches include it too, with the randomized
+ * interface generator the gates drive it with.
  */
 
 #ifndef HIMA_TESTS_DENSE_REFERENCE_H
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/random.h"
 #include "dnc/memory_unit.h"
 
 namespace hima {
@@ -119,6 +121,27 @@ contentWeighting(const Matrix &memory, const Vector &key, Real strength)
         scores[i] = strength * acc / (norms[i] * keyNorm + eps);
     }
     return softmax(scores);
+}
+
+/** A randomized but valid interface vector (mixed write/read traffic). */
+inline InterfaceVector
+randomIface(const DncConfig &cfg, Rng &rng)
+{
+    InterfaceVector iface;
+    for (Index h = 0; h < cfg.readHeads; ++h)
+        iface.readKeys.push_back(rng.normalVector(cfg.memoryWidth));
+    iface.readStrengths.assign(cfg.readHeads, 1.0 + rng.uniform(0.0, 8.0));
+    iface.writeKey = rng.normalVector(cfg.memoryWidth);
+    iface.writeStrength = 1.0 + rng.uniform(0.0, 8.0);
+    iface.eraseVector = rng.uniformVector(cfg.memoryWidth, 0.05, 0.95);
+    iface.writeVector = rng.normalVector(cfg.memoryWidth);
+    iface.freeGates.assign(cfg.readHeads, rng.uniform(0.0, 0.4));
+    iface.allocationGate = rng.uniform();
+    iface.writeGate = rng.uniform(0.2, 1.0);
+    const Real b = rng.uniform(0.0, 1.0);
+    const Real c = rng.uniform(0.0, 1.0 - b);
+    iface.readModes.assign(cfg.readHeads, ReadMode{b, c, 1.0 - b - c});
+    return iface;
 }
 
 /**

@@ -73,27 +73,8 @@ refWriteRow(Real *row, Real wi, const Real *erase, const Real *write,
     return std::sqrt(acc);
 }
 
-/** A randomized but valid interface vector (mixed write/read traffic). */
-inline InterfaceVector
-randomIface(const DncConfig &cfg, Rng &rng)
-{
-    InterfaceVector iface;
-    iface.readKeys.clear();
-    for (Index h = 0; h < cfg.readHeads; ++h)
-        iface.readKeys.push_back(rng.normalVector(cfg.memoryWidth));
-    iface.readStrengths.assign(cfg.readHeads, 1.0 + rng.uniform(0.0, 8.0));
-    iface.writeKey = rng.normalVector(cfg.memoryWidth);
-    iface.writeStrength = 1.0 + rng.uniform(0.0, 8.0);
-    iface.eraseVector = rng.uniformVector(cfg.memoryWidth, 0.05, 0.95);
-    iface.writeVector = rng.normalVector(cfg.memoryWidth);
-    iface.freeGates.assign(cfg.readHeads, rng.uniform(0.0, 0.4));
-    iface.allocationGate = rng.uniform();
-    iface.writeGate = rng.uniform(0.2, 1.0);
-    const Real b = rng.uniform(0.0, 1.0);
-    const Real c = rng.uniform(0.0, 1.0 - b);
-    iface.readModes.assign(cfg.readHeads, ReadMode{b, c, 1.0 - b - c});
-    return iface;
-}
+/** The shared traffic generator (tests/dense_reference.h). */
+using dense::randomIface;
 
 /** Field-by-field exact equality of two decoded interface vectors. */
 inline void

@@ -162,18 +162,8 @@ enum class Knob
     ApproxSoftmax, ///< approximateSoftmax
 };
 
-const char *
-knobName(Knob knob)
-{
-    switch (knob) {
-    case Knob::None: return "None";
-    case Knob::ReadSkip: return "ReadSkip";
-    case Knob::WriteSkip: return "WriteSkip";
-    case Knob::Skim: return "Skim";
-    case Knob::ApproxSoftmax: return "ApproxSoftmax";
-    }
-    return "?";
-}
+const char *const kKnobNames[] = {"None", "ReadSkip", "WriteSkip", "Skim",
+                                  "ApproxSoftmax"};
 
 void
 applyKnob(DncConfig &cfg, Knob knob)
@@ -247,7 +237,7 @@ TEST(OutputPins, MemoryUnitEpisodes)
                       "{%4zu, %2zu, %zu, %g, %s Knob::%s, 0x%016llxull},",
                       pin.n, pin.w, pin.r, pin.threshold,
                       pin.fixedPoint ? "true," : "false,",
-                      knobName(pin.knob),
+                      kKnobNames[static_cast<int>(pin.knob)],
                       static_cast<unsigned long long>(got));
         EXPECT_EQ(got, pin.hash) << "measured: " << row;
     }
