@@ -13,8 +13,7 @@
  *     as one sync step), i.e. serving throughput on the same fleet.
  *
  * Workers run in-process for loopback and on threads behind real
- * Unix-domain/TCP sockets or zero-copy shared-memory rings otherwise;
- * the in-process DncD baseline (no serialization at all) bounds both
+ * Unix-domain/TCP sockets otherwise; the in-process DncD baseline (no serialization at all) bounds both
  * modes from above on one box. Every
  * point stamps per-message-type frame/byte counts per (lane-)step from
  * the channels' WireTrafficStats. Results land in BENCH_shard.json (CI
@@ -77,7 +76,6 @@ enum class Transport
     Loopback,
     Unix,
     Tcp,
-    Shm, ///< zero-copy shared-memory rings
 };
 
 const char *
@@ -90,8 +88,6 @@ transportName(Transport t)
         return "loopback";
     case Transport::Unix:
         return "unix";
-    case Transport::Shm:
-        return "shm";
     default:
         return "tcp";
     }
@@ -105,8 +101,6 @@ toCluster(Transport t)
         return ClusterTransport::Loopback;
     case Transport::Unix:
         return ClusterTransport::UnixSocket;
-    case Transport::Shm:
-        return ClusterTransport::Shm;
     default:
         return ClusterTransport::Tcp;
     }
@@ -595,17 +589,13 @@ main(int argc, char **argv)
     if (smoke) {
         cases = {{Transport::Loopback, 4, 2, 0, 0},
                  {Transport::Unix, 4, 2, 0, 0},
-                 {Transport::Shm, 4, 2, 0, 0},
                  {Transport::Loopback, 4, 2, 2, 0},
                  {Transport::Unix, 4, 2, 4, 0},
-                 {Transport::Shm, 4, 2, 4, 0},
                  // Fault tolerance armed: checkpoint pulls in the loop.
-                 {Transport::Unix, 4, 2, 0, 16},
-                 {Transport::Shm, 4, 2, 0, 16}};
-        // Injected kill + recovery under the sanitizers — the shm row
-        // drives ring re-rendezvous + replay through TSan/ASan too.
-        recoveryCases = {{Transport::Unix, 4, 2, 16},
-                         {Transport::Shm, 4, 2, 16}};
+                 {Transport::Unix, 4, 2, 0, 16}};
+        // Injected kill + recovery under the sanitizers: respawn,
+        // Restore and replay over a real socket.
+        recoveryCases = {{Transport::Unix, 4, 2, 16}};
     } else {
         for (Index tiles : {Index(2), Index(4), Index(8), Index(16)}) {
             const Index workers = tiles >= 4 ? 4 : tiles;
@@ -613,7 +603,6 @@ main(int argc, char **argv)
             cases.push_back({Transport::Loopback, tiles, workers, 0, 0});
             cases.push_back({Transport::Unix, tiles, workers, 0, 0});
             cases.push_back({Transport::Tcp, tiles, workers, 0, 0});
-            cases.push_back({Transport::Shm, tiles, workers, 0, 0});
         }
         // The pipelined sweep at the tile counts where the sync
         // round-trip gap is widest (see the sync rows).
@@ -623,16 +612,15 @@ main(int argc, char **argv)
                 cases.push_back({Transport::Loopback, tiles, workers, k, 0});
                 cases.push_back({Transport::Unix, tiles, workers, k, 0});
                 cases.push_back({Transport::Tcp, tiles, workers, k, 0});
-                cases.push_back({Transport::Shm, tiles, workers, k, 0});
             }
         }
-        // Wire-bound rows: N small enough that the transport, not the
-        // tile datapath, is the bottleneck — this is where the
-        // zero-copy shm rings separate from the socket transports
-        // (at the paper's N the per-step compute masks the wire).
+        // Wire-bound rows: N small enough that the per-frame cost of the
+        // transport, not the tile datapath, sets the step rate (at the
+        // paper's N the per-step compute masks the wire). The gap to
+        // the in-process and loopback rows prices one socket round trip
+        // per worker.
         for (Transport t : {Transport::InProcess, Transport::Loopback,
-                            Transport::Unix, Transport::Tcp,
-                            Transport::Shm})
+                            Transport::Unix, Transport::Tcp})
             cases.push_back({t, 16, 4, 0, 0, 128});
         // Checkpoint-overhead sweep: the interval-0 baseline is the
         // plain sync row above; 64 and 256 price the recoverable
@@ -640,13 +628,11 @@ main(int argc, char **argv)
         for (Index interval : {Index(64), Index(256)}) {
             cases.push_back({Transport::Loopback, 8, 4, 0, interval});
             cases.push_back({Transport::Unix, 8, 4, 0, interval});
-            cases.push_back({Transport::Shm, 8, 4, 0, interval});
         }
         // Recovery latency per injected kill.
         for (Index interval : {Index(64), Index(256)}) {
             recoveryCases.push_back({Transport::Unix, 8, 4, interval});
             recoveryCases.push_back({Transport::Tcp, 8, 4, interval});
-            recoveryCases.push_back({Transport::Shm, 8, 4, interval});
         }
     }
 

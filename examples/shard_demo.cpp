@@ -8,9 +8,7 @@
  *
  * Default mode builds `workers` in-process loopback workers hosting
  * `tiles` tiles. --connect drives external worker processes instead
- * (launch them with shard_worker; ADDR is unix:/path, tcp:host:port or
- * shm:/name — the shm form creates the shared-memory region here and
- * the worker attaches to it).
+ * (launch them with shard_worker; ADDR is unix:/path or tcp:host:port).
  *
  * The demo (1) writes distinct records into specific tiles through the
  * learned write gating and shows the merge alphas concentrating on the
@@ -40,12 +38,8 @@ namespace hima {
 namespace {
 
 std::unique_ptr<Channel>
-connectAddr(const std::string &addr, std::size_t shmSlotBytes)
+connectAddr(const std::string &addr)
 {
-    if (addr.rfind("shm:", 0) == 0)
-        // Coordinator side creates the region (it owns the slot
-        // sizing); the shard_worker process attaches.
-        return ShmChannel::create(addr.substr(4), shmSlotBytes);
     if (addr.rfind("unix:", 0) == 0)
         return SocketChannel::connectUnix(addr.substr(5));
     if (addr.rfind("tcp:", 0) == 0) {
@@ -140,14 +134,9 @@ main(int argc, char **argv)
                     tiles, workers, cfg.memoryRows, cfg.memoryRows / tiles,
                     cfg.shardCheckpointIntervalSteps);
     } else {
-        // shm regions must fit every protocol frame (checkpoint
-        // snapshots included) for the largest hosted-tile share.
-        const Index hosted = (tiles + addrs.size() - 1) / addrs.size();
-        const std::size_t slotBytes = shmSlotBytesFor(
-            shardConfigFor(cfg, tiles), tiles, hosted, /*lanes=*/1);
         std::vector<std::unique_ptr<Channel>> channels;
         for (const std::string &addr : addrs) {
-            auto chan = connectAddr(addr, slotBytes);
+            auto chan = connectAddr(addr);
             if (!chan) {
                 std::fprintf(stderr, "cannot connect to %s\n",
                              addr.c_str());

@@ -4,7 +4,7 @@
  * TCP port, accepts one coordinator connection, and serves DNC-D tiles
  * until the coordinator sends Shutdown (or disconnects).
  *
- *   usage: shard_worker <unix:/path/to.sock | tcp:PORT | shm:/name>
+ *   usage: shard_worker <unix:/path/to.sock | tcp:PORT>
  *
  * Launch one per shard host, then point shard_demo (or any
  * ShardLaneGroup) at the addresses:
@@ -12,11 +12,6 @@
  *   ./shard_worker unix:/tmp/tile0.sock &
  *   ./shard_worker unix:/tmp/tile1.sock &
  *   ./shard_demo --connect unix:/tmp/tile0.sock,unix:/tmp/tile1.sock
- *
- * shm:/name is the same-host zero-copy transport: the coordinator
- * creates the region (it owns the slot sizing) and this worker attaches
- * to it, waiting up to two minutes for the region to appear — so the
- * worker may be launched first, exactly like the socket modes.
  *
  * The worker is entirely passive: shapes, datapath mode, lane count and
  * its tile assignment (first global tile, hosted count, global Nt) all
@@ -38,35 +33,11 @@ main(int argc, char **argv)
     using namespace hima;
 
     if (argc != 2) {
-        std::fprintf(stderr, "usage: shard_worker <unix:/path/to.sock | "
-                             "tcp:PORT | shm:/name>\n");
+        std::fprintf(stderr,
+                     "usage: shard_worker <unix:/path/to.sock | tcp:PORT>\n");
         return 1;
     }
     const std::string addr = argv[1];
-
-    if (addr.rfind("shm:", 0) == 0) {
-        std::printf("shard_worker: attaching to shm region %s\n",
-                    addr.c_str() + 4);
-        auto channel = ShmChannel::attach(addr.substr(4), 120000);
-        if (!channel) {
-            std::fprintf(stderr, "cannot attach to %s\n", addr.c_str());
-            return 1;
-        }
-        std::printf("shard_worker: coordinator attached, serving tiles\n");
-        ShardWorker worker;
-        worker.serve(*channel);
-        std::printf("shard_worker: shutdown — served %llu steps, %llu "
-                    "admitted episodes across %zu hosted tiles (%llu wire "
-                    "bytes in, %llu out)\n",
-                    static_cast<unsigned long long>(worker.stepsServed()),
-                    static_cast<unsigned long long>(
-                        worker.episodesServed()),
-                    worker.hostedTiles(),
-                    static_cast<unsigned long long>(
-                        channel->bytesReceived()),
-                    static_cast<unsigned long long>(channel->bytesSent()));
-        return 0;
-    }
 
     std::unique_ptr<SocketListener> listener;
     if (addr.rfind("unix:", 0) == 0) {
@@ -80,8 +51,7 @@ main(int argc, char **argv)
         listener = SocketListener::listenTcp(
             static_cast<std::uint16_t>(port));
     } else {
-        std::fprintf(stderr,
-                     "address must start with unix:, tcp: or shm:\n");
+        std::fprintf(stderr, "address must start with unix: or tcp:\n");
         return 1;
     }
     if (!listener) {

@@ -45,7 +45,7 @@ struct FaultSpec
 /**
  * Per-worker fault state machine driven by the inbound frame stream.
  * arm() and dead() run on the test's or bench's thread while a socket
- * or shm worker's serve thread runs onFrame(), so every field is
+ * worker's serve thread runs onFrame(), so every field is
  * guarded by one mutex. Firing stays deterministic in frame counts:
  * arm() is called between frames, and the counters only move inside
  * onFrame().

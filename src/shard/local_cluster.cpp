@@ -5,59 +5,18 @@
 
 #include <unistd.h>
 
-#include "dnc/dncd.h"
-
 namespace hima {
 
 namespace {
 
 std::atomic<int> g_endpointOrdinal{0};
 
-/**
- * Ring slot capacity for one shm worker of this cluster shape: sized
- * for the largest hosted-tile share so every protocol frame (including
- * checkpoint snapshots) fits one slot.
- */
-std::size_t
-clusterShmSlotBytes(const DncConfig &config, Index tiles, Index lanes,
-                    Index workerCount)
-{
-    const Index hosted = (tiles + workerCount - 1) / workerCount;
-    return shmSlotBytesFor(shardConfigFor(config, tiles), tiles, hosted,
-                           lanes);
-}
-
-/**
- * Spawn `workerCount` workers and return one connected channel per
- * worker: loopback services in-process; socket and shm transports get a
- * serve thread per worker and a bounded recv timeout on the client
- * side.
- */
-std::vector<std::unique_ptr<Channel>>
-buildChannels(ClusterTransport transport, const DncConfig &config,
-              Index tiles, Index lanes, Index workerCount,
-              std::vector<std::shared_ptr<ShardWorker>> &workers,
-              std::vector<std::thread> &threads)
-{
-    const std::size_t slotBytes =
-        transport == ClusterTransport::Shm
-            ? clusterShmSlotBytes(config, tiles, lanes, workerCount)
-            : kShmDefaultSlotBytes;
-    const int timeoutMs = static_cast<int>(config.shardRecvTimeoutMs);
-    std::vector<std::unique_ptr<Channel>> channels;
-    for (Index k = 0; k < workerCount; ++k)
-        channels.push_back(makeClusterWorker(transport, workers, threads,
-                                             slotBytes, timeoutMs));
-    return channels;
-}
-
 } // namespace
 
 std::unique_ptr<Channel>
 makeClusterWorker(ClusterTransport transport,
                   std::vector<std::shared_ptr<ShardWorker>> &workers,
-                  std::vector<std::thread> &threads,
-                  std::size_t shmSlotBytes, int recvTimeoutMs)
+                  std::vector<std::thread> &threads, int recvTimeoutMs)
 {
     auto worker = std::make_shared<ShardWorker>();
     workers.push_back(worker);
@@ -67,26 +26,6 @@ makeClusterWorker(ClusterTransport transport,
                      FrameSink &reply) {
                 worker->handleFrame(data, size, reply);
             });
-    if (transport == ClusterTransport::Shm) {
-        // Fresh name per worker incarnation: a respawned replacement
-        // maps a brand-new ring, never a dead worker's leftovers.
-        const std::string name =
-            "/hima_shm_" + std::to_string(::getpid()) + "_" +
-            std::to_string(g_endpointOrdinal.fetch_add(
-                1, std::memory_order_relaxed));
-        auto chan = ShmChannel::create(name, shmSlotBytes);
-        if (!chan)
-            HIMA_FATAL("local cluster: cannot create shm region %s",
-                       name.c_str());
-        const int attachBudget = recvTimeoutMs;
-        threads.emplace_back([worker, name, attachBudget] {
-            auto served = ShmChannel::attach(name, attachBudget);
-            if (served)
-                worker->serve(*served);
-        });
-        chan->setRecvTimeout(recvTimeoutMs);
-        return chan;
-    }
     std::unique_ptr<SocketChannel> client;
     // The serve threads accept with a bounded wait: if the connect
     // below ever failed, the thread ends instead of blocking a join
@@ -135,9 +74,11 @@ makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
                      MergePolicy policy, bool wantWeightings)
 {
     LocalLaneCluster cluster;
-    std::vector<std::unique_ptr<Channel>> channels =
-        buildChannels(transport, config, tiles, lanes, workerCount,
-                      cluster.workers, cluster.threads);
+    const int timeoutMs = static_cast<int>(config.shardRecvTimeoutMs);
+    std::vector<std::unique_ptr<Channel>> channels;
+    for (Index k = 0; k < workerCount; ++k)
+        channels.push_back(makeClusterWorker(transport, cluster.workers,
+                                             cluster.threads, timeoutMs));
     cluster.group = std::make_shared<ShardLaneGroup>(
         config, tiles, lanes, policy, std::move(channels), wantWeightings);
     return cluster;
@@ -148,19 +89,11 @@ armClusterRecovery(LocalLaneCluster &cluster, ClusterTransport transport)
 {
     auto harness = std::make_shared<RespawnHarness>();
     harness->transport = transport;
-    // Replacement channels must host the same frames the fleet does —
-    // size their rings from the group's own shard shape.
-    const ShardLaneGroup &group = *cluster.group;
-    harness->shmSlotBytes = shmSlotBytesFor(
-        group.shardConfig(), group.tiles(),
-        (group.tiles() + group.channelCount() - 1) / group.channelCount(),
-        group.lanes());
     harness->recvTimeoutMs =
-        static_cast<int>(group.globalConfig().shardRecvTimeoutMs);
+        static_cast<int>(cluster.group->globalConfig().shardRecvTimeoutMs);
     cluster.group->setRespawner([harness](Index) {
         return makeClusterWorker(harness->transport, harness->workers,
-                                 harness->threads, harness->shmSlotBytes,
-                                 harness->recvTimeoutMs);
+                                 harness->threads, harness->recvTimeoutMs);
     });
     return harness;
 }

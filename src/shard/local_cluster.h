@@ -3,11 +3,11 @@
  * Single-host shard cluster: a ShardLaneGroup coordinator plus
  * `workerCount` workers living in this process — either behind
  * synchronous loopback channels (deterministic, no threads) or each
- * serving a real Unix-domain/TCP socket or shm ring from its own
- * thread. The threaded modes exercise the identical codec + framing a
- * multi-process deployment uses (shard_worker processes), so they
- * double as the test/bench harness for the wire and as a real
- * deployment shape for one multi-core box. A 1-lane cluster's
+ * serving a real Unix-domain/TCP socket from its own thread. The
+ * threaded modes exercise the identical codec + framing a multi-process
+ * deployment uses (shard_worker processes), so they double as the
+ * test/bench harness for the wire and as a real deployment shape for
+ * one multi-core box. A 1-lane cluster's
  * `group->laneMemory(0)` is the synchronous sharded TileMemory.
  *
  * Destruction is ordered: the group's Shutdown frames end every
@@ -40,7 +40,6 @@ enum class ClusterTransport
     Loopback,   ///< synchronous in-process calls (no threads)
     UnixSocket, ///< AF_UNIX stream to worker threads
     Tcp,        ///< 127.0.0.1 stream to worker threads
-    Shm,        ///< zero-copy shared-memory rings to worker threads
 };
 
 /**
@@ -101,9 +100,9 @@ struct LocalLaneCluster
 /**
  * Build a cluster: `workerCount` workers hosting `lanes` x `tiles` tile
  * sets behind one ShardLaneGroup. Socket endpoints are freshly
- * allocated per call (unique /tmp paths, ephemeral TCP ports, fresh shm
- * names), so concurrent clusters never collide; any listen/connect
- * failure is fatal (a hung accept thread would be worse). Threaded
+ * allocated per call (unique /tmp paths, ephemeral TCP ports), so
+ * concurrent clusters never collide; any listen/connect failure is
+ * fatal (a hung accept thread would be worse). Threaded
  * transports get a bounded recv timeout (config.shardRecvTimeoutMs) so
  * dead workers fail the step instead of hanging the coordinator.
  */
@@ -115,22 +114,17 @@ makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
 
 /**
  * Spawn one fresh, unconfigured worker on `transport` and return a
- * connected channel to it (socket and shm transports add a serve thread
- * and the bounded recv timeout, exactly like makeLocalLaneCluster's
- * fleet).
+ * connected channel to it (socket transports add a serve thread and
+ * the bounded recv timeout, exactly like makeLocalLaneCluster's fleet).
  * The worker and any thread are appended to the caller's vectors — hand
  * it a cluster's own `workers`/`threads` to grow that fleet, e.g. as
  * the replacement endpoint for migrateWorker() or a rescale().
- *
- * `shmSlotBytes` sizes the ring slots of an shm channel (use
- * shmSlotBytesFor so checkpoint frames fit; ignored by the other
- * transports); `recvTimeoutMs` bounds the coordinator-side receives.
+ * `recvTimeoutMs` bounds the coordinator-side receives.
  */
 std::unique_ptr<Channel>
 makeClusterWorker(ClusterTransport transport,
                   std::vector<std::shared_ptr<ShardWorker>> &workers,
                   std::vector<std::thread> &threads,
-                  std::size_t shmSlotBytes = kShmDefaultSlotBytes,
                   int recvTimeoutMs = kShardRecvTimeoutMs);
 
 /**
@@ -143,7 +137,6 @@ makeClusterWorker(ClusterTransport transport,
 struct RespawnHarness
 {
     ClusterTransport transport = ClusterTransport::Loopback;
-    std::size_t shmSlotBytes = kShmDefaultSlotBytes; ///< ring slot size
     int recvTimeoutMs = kShardRecvTimeoutMs;
     std::vector<std::shared_ptr<ShardWorker>> workers; ///< replacements
     std::vector<std::thread> threads;

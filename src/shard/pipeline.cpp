@@ -94,11 +94,9 @@ ShardLaneGroup::dealTiles()
 
 ShardLaneGroup::~ShardLaneGroup()
 {
-    for (auto &channel : channels_) {
-        FrameScope frame(*channel, writer_);
-        encodeShutdown(frame.writer());
-        frame.commit();
-    }
+    encodeShutdown(writer_);
+    for (auto &channel : channels_)
+        channel->sendFrame(writer_.data(), writer_.size());
 }
 
 bool
@@ -159,23 +157,14 @@ ShardLaneGroup::sendBatch(const std::vector<Index> &lanes)
         pending_[(pendingHead_ + pendingCount_) % kMaxInFlight];
     slot.seq = seq;
     slot.lanes.assign(lanes.begin(), lanes.end());
-    // The frame is identical on every channel, but zero-copy channels
-    // encode straight into their own ring slot, so encode per channel:
-    // the encoder's array stores cost exactly what the old
-    // encode-once-then-memcpy-per-channel scheme cost, and the shm hot
-    // path moves no extra copy of the Real arrays. SocketChannel's
-    // sendFrame is its queueFrame + flush, so syscall counts are
-    // unchanged (one frame per channel per scatter).
-    for (Index k = 0; k < channels_.size(); ++k) {
-        FrameScope frame(*channels_[k], writer_);
-        encodeLaneStep(seq, wantWeightings_, entryScratch_.data(),
-                       entryScratch_.size(), frame.writer());
-        if (k == 0 && recoveryArmed())
-            slot.bytes.assign(frame.writer().data(),
-                              frame.writer().data() +
-                                  frame.writer().size());
-        frame.commit();
-    }
+    // Every channel receives identical bytes: encode once, send the
+    // same frame to each worker.
+    encodeLaneStep(seq, wantWeightings_, entryScratch_.data(),
+                   entryScratch_.size(), writer_);
+    if (recoveryArmed())
+        slot.bytes.assign(writer_.data(), writer_.data() + writer_.size());
+    for (auto &channel : channels_)
+        channel->sendFrame(writer_.data(), writer_.size());
     ++pendingCount_;
     GroupMetrics::get().scatters->add();
     GroupMetrics::get().inFlight->set(
@@ -200,8 +189,7 @@ ShardLaneGroup::gather(const std::vector<MemoryReadout *> &outs)
                 // resend the whole outstanding window oldest-first. Only
                 // the oldest reply is consumed here — the rest queue up
                 // for their own gathers, draining the double buffer
-                // deterministically (the window never exceeds an shm
-                // reply ring's depth). A second loss is fatal.
+                // deterministically. A second loss is fatal.
                 for (Index b = 0; b < pendingCount_; ++b) {
                     const Pending &q =
                         pending_[(pendingHead_ + b) % kMaxInFlight];
@@ -368,13 +356,13 @@ ShardLaneGroup::sendControl(ControlKind kind, std::uint32_t lane)
     msg.lane = lane;
     encodeControl(msg, writer_);
     for (auto &channel : channels_)
-        channel->sendFrame(writer_.buffer().data(), writer_.buffer().size());
+        channel->sendFrame(writer_.data(), writer_.size());
     if (recoveryArmed()) {
         // Controls mutate worker state (tile resets), so a replacement
         // must replay them in order with the lane steps. The scratch
         // copy also survives recoverWorker() reusing writer_.
-        resendScratch_.assign(writer_.buffer().begin(),
-                              writer_.buffer().end());
+        resendScratch_.assign(writer_.data(),
+                              writer_.data() + writer_.size());
     }
     for (Index k = 0; k < channels_.size(); ++k) {
         std::uint64_t seq = 0;
@@ -427,11 +415,10 @@ ShardLaneGroup::resetAll()
 void
 ShardLaneGroup::sendHello(Index k)
 {
-    FrameScope frame(*channels_[k], writer_);
     encodeHello(WireConfig::fromShard(shardConfig_, tiles_, firstTile_[k],
                                       tileCount_[k], gates_.size()),
-                frame.writer());
-    frame.commit();
+                writer_);
+    channels_[k]->sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -483,11 +470,10 @@ ShardLaneGroup::pullCheckpoints()
     ++checkpointSeq_;
     encodeCheckpointRequest(checkpointSeq_, writer_);
     for (auto &channel : channels_)
-        channel->sendFrame(writer_.buffer().data(),
-                           writer_.buffer().size());
+        channel->sendFrame(writer_.data(), writer_.size());
     if (recoveryArmed())
-        resendScratch_.assign(writer_.buffer().begin(),
-                              writer_.buffer().end());
+        resendScratch_.assign(writer_.data(),
+                              writer_.data() + writer_.size());
     for (Index k = 0; k < chans; ++k) {
         if (!recvFrom(k)) {
             // Mid-pull loss: recover from the *previous* checkpoint
@@ -536,11 +522,10 @@ ShardLaneGroup::scrapeWorkers(std::vector<obs::Snapshot> &perWorker,
     ++statsSeq_;
     encodeStatsPull(statsSeq_, writer_);
     for (auto &channel : channels_)
-        channel->sendFrame(writer_.buffer().data(),
-                           writer_.buffer().size());
+        channel->sendFrame(writer_.data(), writer_.size());
     if (recoveryArmed())
-        resendScratch_.assign(writer_.buffer().begin(),
-                              writer_.buffer().end());
+        resendScratch_.assign(writer_.data(),
+                              writer_.data() + writer_.size());
     for (Index k = 0; k < chans; ++k) {
         if (!recvFrom(k)) {
             recoverWorker(k, "stats scrape", statsSeq_);
@@ -588,13 +573,9 @@ ShardLaneGroup::checkpointNow()
 void
 ShardLaneGroup::restoreWorker(Index k, const char *who)
 {
-    {
-        FrameScope frame(*channels_[k], writer_);
-        encodeRestore(checkpointSeq_, snapshotSlice(k),
-                      gates_.size() * tileCount_[k], shardConfig_,
-                      frame.writer());
-        frame.commit();
-    }
+    encodeRestore(checkpointSeq_, snapshotSlice(k),
+                  gates_.size() * tileCount_[k], shardConfig_, writer_);
+    channels_[k]->sendFrame(writer_.data(), writer_.size());
     std::uint64_t seq = 0;
     if (!recvFrom(k) ||
         !decodeControlAck(frameData_, frameSize_, seq) ||
@@ -633,8 +614,7 @@ ShardLaneGroup::recoverWorker(Index k, const char *what, std::uint64_t seq)
     // Replay the logged window; replies are drained and discarded (the
     // per-lane gates already advanced through these frames).
     // Each replayed frame's reply is drained before the next send, so
-    // the window can exceed an shm reply ring's slot count without
-    // deadlock.
+    // the replies never pile up behind an unread window.
     for (std::size_t e = 0; e < logCount_; ++e) {
         channels_[k]->sendFrame(log_[e].data(), log_[e].size());
         MsgType type;
@@ -669,9 +649,8 @@ ShardLaneGroup::migrateWorker(Index k, std::unique_ptr<Channel> replacement)
     restoreWorker(k, "shard migration");
 
     // Retire the old worker only after the replacement holds the state.
-    FrameScope frame(*old, writer_);
-    encodeShutdown(frame.writer());
-    frame.commit();
+    encodeShutdown(writer_);
+    old->sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -684,11 +663,9 @@ ShardLaneGroup::rescale(std::vector<std::unique_ptr<Channel>> channels)
     HIMA_ASSERT(pendingCount_ == 0,
                 "rescale while %zu batches are in flight", pendingCount_);
     pullCheckpoints();
-    for (auto &channel : channels_) {
-        FrameScope frame(*channel, writer_);
-        encodeShutdown(frame.writer());
-        frame.commit();
-    }
+    encodeShutdown(writer_);
+    for (auto &channel : channels_)
+        channel->sendFrame(writer_.data(), writer_.size());
 
     channels_ = std::move(channels);
     dealTiles();

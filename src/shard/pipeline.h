@@ -268,9 +268,8 @@ class ShardLaneGroup
     void commitLog(const std::vector<std::uint8_t> &bytes);
 
     /**
-     * Receive channel k's next frame as a view (frameData_/frameSize_).
-     * Zero-copy on shm; elsewhere the bytes land in frame_ and the view
-     * points at it.
+     * Receive channel k's next frame as a view (frameData_/frameSize_)
+     * over frame_.
      */
     bool recvFrom(Index k);
 
@@ -308,8 +307,7 @@ class ShardLaneGroup
     Index pendingCount_ = 0;
 
     // Reused per-step scratch. frame_ is recv scratch; frameData_/
-    // frameSize_ view the last received frame (a borrowed shm slot or
-    // frame_ itself).
+    // frameSize_ view the last received frame.
     WireWriter writer_;
     std::vector<std::uint8_t> frame_;
     const std::uint8_t *frameData_ = nullptr;

@@ -3,7 +3,7 @@
  * Transport abstraction for the sharded DNC-D wire protocol: how framed
  * messages move between the coordinator and its tile workers.
  *
- * Three implementations cover the deployment spectrum:
+ * Two implementations cover the deployment spectrum:
  *
  *   - LoopbackChannel: in-process, synchronous. sendFrame() delivers the
  *     frame straight into a registered service (the worker's frame
@@ -21,23 +21,10 @@
  *     wedged peer surfaces as a step error instead of hanging the
  *     coordinator forever.
  *
- *   - ShmChannel: same-host zero-copy. One shm_open() + mmap() region
- *     holds a pair of single-producer/single-consumer frame-slot rings
- *     (one per direction), futex-signalled with a bounded spin before
- *     every sleep. Senders encode straight into the next free slot
- *     (beginFrame()/endFrame() via FrameScope) and receivers borrow the
- *     slot in place (recvFrameView()), so a step moves zero hot-path
- *     memcpys of Real arrays. The payload inside each slot is the
- *     ordinary wire encoding — decoders stay fail-closed and the socket
- *     codec remains the cross-host fallback.
- *
- * Channels support multiple outstanding frames: sendFrame()/queueFrame()
- * never wait for a reply, so a pipelined coordinator can keep a window
- * of step frames in flight per channel. queueFrame() + flush() is the
- * batched form — SocketChannel coalesces queued frames into a single
- * send() (writev-style: one syscall flushes the whole window),
- * LoopbackChannel services frames immediately in queue order, keeping
- * in-process runs deterministic.
+ * Channels support multiple outstanding frames: sendFrame() never waits
+ * for a reply, so a pipelined coordinator can keep a window of step
+ * frames in flight per channel. LoopbackChannel services each frame
+ * as it is sent, keeping in-process runs deterministic.
  *
  * Channels count frames and bytes per message type in both directions
  * (WireTrafficStats); bench_shard and shard_demo report wire cost per
@@ -167,61 +154,8 @@ class FrameSink
   public:
     virtual ~FrameSink() = default;
 
-    /** Queue/transmit one framed payload. */
+    /** Transmit one framed payload. */
     virtual void sendFrame(const std::uint8_t *data, std::size_t size) = 0;
-
-    /**
-     * Begin an in-place outbound frame: a writer whose bytes land
-     * directly in transport memory (ShmChannel's next free ring slot),
-     * or null when this sink has no zero-copy path and the caller
-     * should encode into its own writer and sendFrame() as usual.
-     * Every beginFrame() must be paired with one endFrame(); FrameScope
-     * wraps the branch so call sites stay transport-agnostic.
-     */
-    virtual WireWriter *beginFrame() { return nullptr; }
-
-    /** Publish the frame encoded into beginFrame()'s writer. */
-    virtual void endFrame() {}
-};
-
-/**
- * One outbound frame, encoded in place when the sink supports it:
- *
- *     FrameScope frame(sink, writer_);
- *     encodeLaneStepReply(..., frame.writer());
- *     frame.commit();
- *
- * On a zero-copy sink (ShmChannel) writer() targets the transport's own
- * slot and commit() publishes it; elsewhere writer() is the caller's
- * staging writer and commit() is a plain sendFrame(). Either way the
- * encoder sees a cleared WireWriter and produces identical wire bytes.
- */
-class FrameScope
-{
-  public:
-    FrameScope(FrameSink &sink, WireWriter &staging)
-        : sink_(sink), inPlace_(sink.beginFrame()),
-          writer_(inPlace_ != nullptr ? inPlace_ : &staging)
-    {
-        if (inPlace_ == nullptr)
-            writer_->clear();
-    }
-
-    WireWriter &writer() { return *writer_; }
-
-    void
-    commit()
-    {
-        if (inPlace_ != nullptr)
-            sink_.endFrame();
-        else
-            sink_.sendFrame(writer_->data(), writer_->size());
-    }
-
-  private:
-    FrameSink &sink_;
-    WireWriter *inPlace_;
-    WireWriter *writer_;
 };
 
 /** A bidirectional framed message channel. */
@@ -238,12 +172,9 @@ class Channel : public FrameSink
     virtual bool recvFrame(std::vector<std::uint8_t> &frame) = 0;
 
     /**
-     * Zero-copy receive: deliver the next frame as a borrowed view,
-     * valid until the next receive on this channel (sends do not
-     * invalidate it — the opposite direction is a separate ring). The
-     * default copies via recvFrame() into `scratch`; ShmChannel points
-     * straight into its ring slot so decoders read Real arrays in
-     * place.
+     * Deliver the next frame as a view, valid until the next receive on
+     * this channel. The default copies via recvFrame() into `scratch`;
+     * a wrapping channel may override it to observe each receive.
      */
     virtual bool
     recvFrameView(const std::uint8_t *&data, std::size_t &size,
@@ -255,21 +186,6 @@ class Channel : public FrameSink
         size = scratch.size();
         return true;
     }
-
-    /**
-     * Queue one frame for a later flush(). The default transmits
-     * immediately (loopback service order stays deterministic);
-     * SocketChannel buffers so a flush() moves the whole batch in one
-     * syscall.
-     */
-    virtual void
-    queueFrame(const std::uint8_t *data, std::size_t size)
-    {
-        sendFrame(data, size);
-    }
-
-    /** Transmit every queued frame (no-op when nothing is buffered). */
-    virtual void flush() {}
 
     /**
      * Bound every subsequent receive (and blocking send) to `ms`
@@ -289,7 +205,7 @@ class Channel : public FrameSink
     std::uint64_t bytesSent() const { return bytesSent_; }
     std::uint64_t bytesReceived() const { return bytesReceived_; }
 
-    /** Per-message-type counters for frames handed to sendFrame/queue. */
+    /** Per-message-type counters for frames handed to sendFrame(). */
     const WireTrafficStats &sentStats() const { return sentStats_; }
 
     /** Per-message-type counters for frames recvFrame() delivered. */
@@ -358,10 +274,6 @@ class SocketChannel final : public Channel
     void sendFrame(const std::uint8_t *data, std::size_t size) override;
     bool recvFrame(std::vector<std::uint8_t> &frame) override;
 
-    /** Buffer a frame; flush() sends the whole batch with one send(). */
-    void queueFrame(const std::uint8_t *data, std::size_t size) override;
-    void flush() override;
-
     /**
      * Bound every subsequent recvFrame() to `ms` milliseconds
      * (SO_RCVTIMEO); 0 is clamped to 1ms (a zero timeval means "block
@@ -404,150 +316,7 @@ class SocketChannel final : public Channel
     bool broken_ = false;   ///< peer died mid-send; reads report failure
     bool timedOut_ = false; ///< last recv failure was SO_RCVTIMEO expiry
     bool sendTimedOut_ = false; ///< a send blew SO_SNDTIMEO (sticky)
-    std::vector<std::uint8_t> sendBuf_; ///< queued [len][payload] frames
-};
-
-/** Default shm ring slot capacity when no config is available to size it. */
-constexpr std::size_t kShmDefaultSlotBytes = std::size_t{1} << 20;
-
-/** Frame slots per shm ring direction (the in-flight window bound). */
-constexpr std::size_t kShmDefaultSlots = 8;
-
-/**
- * Slot capacity (bytes) that fits every frame the protocol can produce
- * for a worker hosting `hostedTiles` of `tiles` tiles per lane: the
- * checkpoint/restore snapshot of all hosted (lane, tile) memory state
- * is usually the largest, followed by lane-batched replies with
- * weightings and the scatter (up to `lanes` broadcast interfaces plus
- * one per-tile entry's Nt). Rounded up to a page and capped at
- * kWireMaxFrameBytes (a frame too big for a slot is too big for the
- * socket transports as well).
- */
-std::size_t shmSlotBytesFor(const DncConfig &shard, Index tiles,
-                            Index hostedTiles, Index lanes);
-
-/**
- * Same-host zero-copy channel: a pair of single-producer /
- * single-consumer frame-slot rings in one shared-memory region.
- *
- * Layout (one shm_open() + mmap() region, offsets fixed at create()):
- * a header carrying the geometry and liveness flags, then one ring per
- * direction — head/tail frame counters on their own cache lines, futex
- * words for data/space signalling, and `slotCount` fixed-stride slots
- * of [u64 length][payload]. The payload bytes are the ordinary wire
- * encoding, so receivers decode exactly as they would a socket frame
- * (fail-closed on anything malformed) — the transport removes copies,
- * not validation.
- *
- * Zero-copy contract:
- *   - send side: beginFrame() waits for a free slot and returns a
- *     WireWriter attached to it; the encoder's bytes land directly in
- *     shared memory and endFrame() publishes them with a release store
- *     of the ring head (plus a futex wake when the peer sleeps).
- *   - recv side: recvFrameView() borrows the slot in place; the slot is
- *     returned (tail advance + space wake) on the next receive, so a
- *     decoder may read Real arrays straight out of the mapping.
- *   - sendFrame()/recvFrame() remain available as the copying forms for
- *     pre-encoded frames (recovery replay) and copy-out callers.
- *
- * Waits spin briefly before sleeping on the futex (the peer is
- * typically mid-encode for only microseconds), and every sleep is
- * bounded by setRecvTimeout() so a dead peer surfaces as a timeout or,
- * when it closed its end, as an orderly close once the ring drains.
- *
- * Rendezvous: create() builds and owns the named region (refusing to
- * displace an existing name, O_EXCL); attach() polls for the name,
- * validates the geometry, and claims the worker end with a CAS so a
- * second attacher fails instead of corrupting SPSC ownership. The
- * creator unlinks the name as soon as a peer has attached (the mapping
- * keeps the region alive), so crashed runs leave nothing behind except
- * a name the next create() refuses — callers pick fresh names per
- * worker incarnation, which is also what makes recovery work: a
- * respawned worker maps a fresh ring and the coordinator replays into
- * it.
- */
-class ShmChannel final : public Channel
-{
-  public:
-    ~ShmChannel() override;
-
-    ShmChannel(const ShmChannel &) = delete;
-    ShmChannel &operator=(const ShmChannel &) = delete;
-
-    void sendFrame(const std::uint8_t *data, std::size_t size) override;
-    bool recvFrame(std::vector<std::uint8_t> &frame) override;
-    bool recvFrameView(const std::uint8_t *&data, std::size_t &size,
-                       std::vector<std::uint8_t> &scratch) override;
-    WireWriter *beginFrame() override;
-    void endFrame() override;
-    void setRecvTimeout(int ms) override;
-    bool timedOut() const override { return timedOut_; }
-
-    /**
-     * Create and own a named region (`name` must start with '/'), sized
-     * for `slotCount` slots of `slotBytes` per direction. Null when the
-     * name already exists (a live region is never displaced) or the
-     * region cannot be built. The creator end is usable immediately —
-     * frames queue in the ring until a peer attaches.
-     */
-    static std::unique_ptr<ShmChannel>
-    create(const std::string &name, std::size_t slotBytes,
-           std::size_t slotCount = kShmDefaultSlots);
-
-    /**
-     * Attach to a created region, polling up to `timeoutMs` for the
-     * name to appear and initialize. Null on timeout, on geometry /
-     * version mismatch, or when another peer already claimed the
-     * attached end.
-     */
-    static std::unique_ptr<ShmChannel> attach(const std::string &name,
-                                              int timeoutMs);
-
-    const std::string &name() const { return name_; }
-    std::size_t slotBytes() const { return slotBytes_; }
-    std::size_t slotCount() const { return slotCount_; }
-
-    /**
-     * The raw mapped region. Only for tests, which corrupt ring
-     * metadata and slot framing through it to prove the receive path
-     * fails closed; not part of the transport surface.
-     */
-    std::uint8_t *rawRegionForTest() { return base_; }
-    std::size_t regionBytesForTest() const { return regionBytes_; }
-
-  private:
-    ShmChannel(std::uint8_t *base, std::size_t regionBytes, int role,
-               bool creator, std::string name);
-
-    /** Wait until the recv ring holds a frame (spin, then futex). */
-    bool waitForFrame();
-    /** Wait until the send ring has a free slot (spin, then futex). */
-    bool waitForSpace();
-    /** Return the slot borrowed by the previous recvFrameView(). */
-    void releaseBorrowedSlot();
-    /** Stamp the length prefix and release-publish the head slot. */
-    void publish(std::size_t payloadBytes);
-    /** Mark this end closed and wake any sleeping peer. */
-    void markClosed();
-    /** Creator side: unlink the name once a peer has attached. */
-    void maybeUnlink();
-
-    std::uint8_t *base_ = nullptr;
-    std::size_t regionBytes_ = 0;
-    int role_ = 0; ///< 0 = creator (coordinator end), 1 = attached end
-    bool creator_ = false;
-    bool unlinked_ = false;
-    std::string name_;
-    std::size_t slotBytes_ = 0;
-    std::size_t slotCount_ = 0;
-    int recvTimeoutMs_ = 0; ///< 0 = unbounded (worker side idles freely)
-    bool broken_ = false;   ///< fail-closed: all later I/O reports failure
-    bool timedOut_ = false; ///< last failure was a bounded-wait expiry
-    bool borrowed_ = false; ///< recv slot on loan until the next receive
-    bool inPlaceOpen_ = false;    ///< between beginFrame and endFrame
-    bool inPlaceDropped_ = false; ///< in-place frame targets discard_
-    WireWriter slotWriter_; ///< attached to the send slot by beginFrame()
-    std::vector<std::uint8_t> discard_; ///< beginFrame target when broken
+    std::vector<std::uint8_t> sendBuf_; ///< the [len][payload] being sent
 };
 
 /**

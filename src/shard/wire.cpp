@@ -93,51 +93,10 @@ WireConfig::toShardConfig() const
 // --------------------------------------------------------------------
 
 void
-WireWriter::attachExternal(std::uint8_t *slot, std::size_t capacity)
-{
-    HIMA_ASSERT(slot != nullptr, "WireWriter: null external slot");
-    ext_ = slot;
-    extCap_ = capacity;
-    extSize_ = 0;
-}
-
-void
-WireWriter::detachExternal()
-{
-    ext_ = nullptr;
-    extCap_ = 0;
-    extSize_ = 0;
-    buf_.clear();
-}
-
-void
-WireWriter::push(std::uint8_t b)
-{
-    if (ext_ != nullptr) {
-        HIMA_ASSERT(extSize_ < extCap_,
-                    "WireWriter: frame exceeds the %zu-byte external slot "
-                    "(slot sizing bug — see shmSlotBytesFor)",
-                    extCap_);
-        ext_[extSize_++] = b;
-    } else {
-        buf_.push_back(b);
-    }
-}
-
-void
 WireWriter::append(const void *src, std::size_t n)
 {
-    if (ext_ != nullptr) {
-        HIMA_ASSERT(extSize_ + n <= extCap_,
-                    "WireWriter: frame exceeds the %zu-byte external slot "
-                    "(slot sizing bug — see shmSlotBytesFor)",
-                    extCap_);
-        std::memcpy(ext_ + extSize_, src, n);
-        extSize_ += n;
-    } else {
-        const auto *bytes = static_cast<const std::uint8_t *>(src);
-        buf_.insert(buf_.end(), bytes, bytes + n);
-    }
+    const auto *bytes = static_cast<const std::uint8_t *>(src);
+    buf_.insert(buf_.end(), bytes, bytes + n);
 }
 
 void
@@ -471,8 +430,7 @@ rowHasNonzero(const Real *row, Index count)
  * slots], then the dense v5 field sequence (encoding 0) or the sparse
  * row-pair sections (encoding 1; rowNorms omitted — the decoder
  * rebuilds them from the shipped rows). Each tile takes whichever
- * encoding is byte-smaller, so the dense size bounds every frame (the
- * shm slot sizing relies on that).
+ * encoding is byte-smaller, so the dense size bounds every frame.
  */
 void
 putStateBodyV6(const Real *mem, const Real *rowNorms, const Real *usage,

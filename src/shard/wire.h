@@ -66,8 +66,8 @@
  * from the shipped rows with the memory write's own summation order,
  * bit-identically). The encoder picks per tile whichever encoding is
  * byte-smaller — early-episode snapshots shrink by ~N/A while a
- * saturated memory falls back to dense, which also bounds the shm slot
- * size.
+ * saturated memory falls back to dense, which also bounds every
+ * checkpoint frame by its dense size.
  * Sparse decoders stay fail-closed: counts are capped by the handshake
  * shapes, indices must be strictly ascending and in range, the
  * encoding byte must be known, and truncation anywhere returns false.
@@ -275,53 +275,20 @@ struct ErrorMsg
 /**
  * Append-only little-endian serializer over a reusable byte buffer.
  * clear() keeps capacity, so steady-state encoding never allocates.
- *
- * attachExternal() redirects the writer into a caller-owned span — the
- * shared-memory transport points it at a ring slot so encoders write
- * their bytes straight into transport memory (zero-copy publish). The
- * wire bytes are identical in either mode.
  */
 class WireWriter
 {
   public:
-    void
-    clear()
-    {
-        if (ext_ != nullptr)
-            extSize_ = 0;
-        else
-            buf_.clear();
-    }
+    void clear() { buf_.clear(); }
 
-    /** Encoded bytes so far (valid in both modes). */
-    const std::uint8_t *
-    data() const
-    {
-        return ext_ != nullptr ? ext_ : buf_.data();
-    }
+    /** Encoded bytes so far. */
+    const std::uint8_t *data() const { return buf_.data(); }
+    std::size_t size() const { return buf_.size(); }
 
-    std::size_t
-    size() const
-    {
-        return ext_ != nullptr ? extSize_ : buf_.size();
-    }
-
-    /** The internal buffer (internal mode only; prefer data()/size()). */
+    /** The encoded bytes as a vector. */
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
 
-    /**
-     * Redirect encoding into `slot` (clear() implied). Exceeding
-     * `capacity` is fatal: slots are pre-sized from the config
-     * handshake, so an overflow is a sizing bug, never traffic.
-     */
-    void attachExternal(std::uint8_t *slot, std::size_t capacity);
-
-    /** Return to the internal buffer (clear() implied). */
-    void detachExternal();
-
-    bool external() const { return ext_ != nullptr; }
-
-    void putU8(std::uint8_t v) { push(v); }
+    void putU8(std::uint8_t v) { buf_.push_back(v); }
     void putU16(std::uint16_t v);
     void putU32(std::uint32_t v);
     void putU64(std::uint64_t v);
@@ -340,13 +307,9 @@ class WireWriter
     void header(MsgType type);
 
   private:
-    void push(std::uint8_t b);
     void append(const void *src, std::size_t n);
 
     std::vector<std::uint8_t> buf_;
-    std::uint8_t *ext_ = nullptr; ///< external span (null = internal)
-    std::size_t extCap_ = 0;
-    std::size_t extSize_ = 0;
 };
 
 /**

@@ -69,16 +69,15 @@ ShardWorker::handleStatsPull(const std::uint8_t *data, std::size_t size,
             total.merge(tile->profiler());
         obs::importKernelProfiler(statsScratch_, total);
     }
-    FrameScope reply(sink, writer_);
-    encodeStatsReport(seq, statsScratch_, reply.writer());
-    reply.commit();
+    encodeStatsReport(seq, statsScratch_, writer_);
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
 ShardWorker::sendError(const std::string &message, FrameSink &sink)
 {
     encodeError(message, writer_);
-    sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -97,7 +96,7 @@ ShardWorker::handleHello(const std::uint8_t *data, std::size_t size,
         applyConfig(wire, ack);
     }
     encodeHelloAck(ack, writer_);
-    sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -184,12 +183,9 @@ ShardWorker::handleCheckpointRequest(const std::uint8_t *data,
     }
     // Encoded straight from the live tiles: no snapshot copy, and
     // writer_ keeps its capacity, so a steady-state checkpoint pull
-    // allocates nothing after the first. On an shm channel the scope's
-    // writer is the ring slot itself — the snapshot lands in shared
-    // memory with no staging copy at all.
-    FrameScope reply(sink, writer_);
-    encodeCheckpointState(seq, tiles_, shardConfig_, reply.writer());
-    reply.commit();
+    // allocates nothing after the first.
+    encodeCheckpointState(seq, tiles_, shardConfig_, writer_);
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -215,7 +211,7 @@ ShardWorker::handleRestore(const std::uint8_t *data, std::size_t size,
     for (Index t = 0; t < tiles_.size(); ++t)
         tiles_[t]->restoreState(restoreScratch_[t]);
     encodeControlAck(seq, writer_);
-    sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -273,12 +269,10 @@ ShardWorker::handleLaneStep(const std::uint8_t *data, std::size_t size,
     forEach(slots, laneStepTask_);
     stepsServed_ += frameLanes; // lane-steps served
 
-    FrameScope reply(sink, writer_);
     encodeLaneStepReply(laneStep_.seq, laneStep_.wantWeightings,
                         laneStep_.lanes.data(), frameLanes, hostedTiles_,
-                        readouts_, confidence_, shardConfig_,
-                        reply.writer());
-    reply.commit();
+                        readouts_, confidence_, shardConfig_, writer_);
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
@@ -309,17 +303,14 @@ ShardWorker::handleControl(const std::uint8_t *data, std::size_t size,
     if (msg.kind == ControlKind::Admit)
         ++episodesServed_;
     encodeControlAck(msg.seq, writer_);
-    sink.sendFrame(writer_.buffer().data(), writer_.buffer().size());
+    sink.sendFrame(writer_.data(), writer_.size());
 }
 
 void
 ShardWorker::serve(Channel &channel)
 {
-    // Borrowed-view receive: zero-copy transports hand back a pointer
-    // into their ring slot (valid until the next receive — exactly one
-    // frame is in hand at a time here), so decoders read the broadcast
-    // interface straight out of shared memory; copying transports fill
-    // frame_ as before.
+    // The view is valid until the next receive; exactly one frame is in
+    // hand at a time here.
     const std::uint8_t *data = nullptr;
     std::size_t size = 0;
     while (channel.recvFrameView(data, size, frame_)) {

@@ -763,8 +763,7 @@ TEST_P(FleetScrape, AggregatesWorkerRegistries)
 INSTANTIATE_TEST_SUITE_P(Transports, FleetScrape,
                          ::testing::Values(ClusterTransport::Loopback,
                                            ClusterTransport::UnixSocket,
-                                           ClusterTransport::Tcp,
-                                           ClusterTransport::Shm));
+                                           ClusterTransport::Tcp));
 
 // --------------------------------------------------------------------
 // Zero-allocation steady state with metrics and tracing both live.

@@ -4,7 +4,7 @@
  * tiles over a real wire protocol is bit-identical *per step* to the
  * in-process DncD with the same config — read vectors, global-view
  * weightings, and the confidence-merge alphas — across
- * transports {loopback, unix socket, tcp, shm} x tiles {2, 4} x
+ * transports {loopback, unix socket, tcp} x tiles {2, 4} x
  * worker threads {1, 4} x {float, fixed} x lanes {1, 2}, through
  * per-tile write gating, history-mode reads, and mid-stream episode
  * resets.
@@ -14,8 +14,8 @@
  * Error), the serving stack (ShardedDnc over a lane view == ShardedDnc
  * over DncD; Router on the pipelined engine == dedicated reference
  * runs), the retrieval workload through the wire, and the
- * zero-allocation steady state of a loopback worker round trip
- * (operator-new hook).
+ * zero-allocation steady state of loopback and Unix-socket worker round
+ * trips (operator-new hook).
  */
 
 #include <atomic>
@@ -134,8 +134,6 @@ transportName(ClusterTransport kind)
         return "Loopback";
     case ClusterTransport::UnixSocket:
         return "Unix";
-    case ClusterTransport::Shm:
-        return "Shm";
     default:
         return "Tcp";
     }
@@ -268,8 +266,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, ShardGolden,
     ::testing::Combine(::testing::Values(ClusterTransport::Loopback,
                                          ClusterTransport::UnixSocket,
-                                         ClusterTransport::Tcp,
-                                         ClusterTransport::Shm),
+                                         ClusterTransport::Tcp),
                        ::testing::Values(2, 4), ::testing::Values(1, 4),
                        ::testing::Bool(), ::testing::Values(1, 2)),
     [](const auto &info) {
@@ -387,8 +384,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, PipelinedShardGolden,
     ::testing::Combine(::testing::Values(ClusterTransport::Loopback,
                                          ClusterTransport::UnixSocket,
-                                         ClusterTransport::Tcp,
-                                         ClusterTransport::Shm),
+                                         ClusterTransport::Tcp),
                        ::testing::Values(2, 4), ::testing::Values(1, 4),
                        ::testing::Bool(), ::testing::Values(0, 1)),
     [](const auto &info) {
@@ -750,8 +746,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, ShardRecoveryGolden,
     ::testing::Combine(::testing::Values(ClusterTransport::Loopback,
                                          ClusterTransport::UnixSocket,
-                                         ClusterTransport::Tcp,
-                                         ClusterTransport::Shm),
+                                         ClusterTransport::Tcp),
                        ::testing::Values(2, 4), ::testing::Bool()),
     [](const auto &info) {
         return std::string(transportName(std::get<0>(info.param))) +
@@ -840,8 +835,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, PipelinedShardRecoveryGolden,
     ::testing::Combine(::testing::Values(ClusterTransport::Loopback,
                                          ClusterTransport::UnixSocket,
-                                         ClusterTransport::Tcp,
-                                         ClusterTransport::Shm),
+                                         ClusterTransport::Tcp),
                        ::testing::Values(2, 4), ::testing::Bool()),
     [](const auto &info) {
         return std::string(transportName(std::get<0>(info.param))) +
@@ -1213,7 +1207,7 @@ TEST(ShardFault, ScriptedKillSilencesTheWorkerAtTheExactFrame)
 }
 
 // --------------------------------------------------------------------
-// Zero-allocation steady state over loopback.
+// Zero-allocation steady state over loopback and Unix sockets.
 // --------------------------------------------------------------------
 
 TEST(ShardZeroAlloc, SteadyStateLoopbackRoundTrip)
@@ -1244,16 +1238,16 @@ TEST(ShardZeroAlloc, SteadyStateLoopbackRoundTrip)
            "(encode, decode, worker step, or merge path regressed)";
 }
 
-TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
+TEST(ShardZeroAlloc, SteadyStateUnixSocketRoundTrip)
 {
-    // The zero-copy transport must hold the same bar as loopback: once
-    // ring slots and decode buffers are warm, a full scatter/gather
-    // step over shared memory allocates nothing on either side of the
-    // rings (the worker thread's allocations land in the same
+    // The served transport must hold the same bar as loopback: once the
+    // send buffers and decode buffers are warm, a full scatter/gather
+    // step over a Unix socket allocates nothing on either side of the
+    // wire (the worker threads' allocations land in the same
     // process-wide counter).
     const DncConfig cfg = serveCfg();
     LocalLaneCluster cluster = makeLocalLaneCluster(
-        ClusterTransport::Shm, cfg, /*tiles=*/4, /*lanes=*/1,
+        ClusterTransport::UnixSocket, cfg, /*tiles=*/4, /*lanes=*/1,
         /*workerCount=*/2);
     ShardLaneGroup &group = *cluster.group;
 
@@ -1273,19 +1267,22 @@ TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "steady-state shm step performed heap allocations (in-place "
-           "encode, slot borrow/release, worker step, or merge path "
-           "regressed)";
+        << "steady-state socket step performed heap allocations (socket "
+           "send/recv buffers, worker step, or merge path regressed)";
 }
 
-TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
+/**
+ * A pipelined engine step on `transport` (two overlapped batches of two
+ * lanes on a 2-worker fleet) allocates nothing once warm.
+ */
+void
+expectPipelinedEngineStepAllocatesNothing(ClusterTransport transport)
 {
     DncConfig cfg = serveCfg();
     cfg.batchSize = 4;
     cfg.shardLanesPerBatch = 2; // two overlapped batches per step
     LocalLaneCluster cluster = makeLocalLaneCluster(
-        ClusterTransport::Loopback, cfg, /*tiles=*/4, cfg.batchSize,
-        /*workerCount=*/2);
+        transport, cfg, /*tiles=*/4, cfg.batchSize, /*workerCount=*/2);
     PipelinedShardedLaneEngine engine(cfg, 9, cluster.group);
 
     Rng rng(707);
@@ -1308,9 +1305,20 @@ TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "steady-state pipelined engine step performed heap "
-           "allocations (lane-batched encode/decode, scatter window, "
-           "worker lane step, or merge path regressed)";
+        << "steady-state pipelined engine step over "
+        << transportName(transport)
+        << " performed heap allocations (lane-batched encode/decode, "
+           "scatter window, worker lane step, or merge path regressed)";
+}
+
+TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
+{
+    expectPipelinedEngineStepAllocatesNothing(ClusterTransport::Loopback);
+}
+
+TEST(ShardZeroAlloc, SteadyStateUnixSocketPipelinedEngineStep)
+{
+    expectPipelinedEngineStepAllocatesNothing(ClusterTransport::UnixSocket);
 }
 
 TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)
