@@ -13,8 +13,8 @@
  *     as one sync step), i.e. serving throughput on the same fleet.
  *
  * Workers run in-process for loopback and on threads behind real
- * Unix-domain/TCP sockets otherwise; the in-process DncD baseline (no serialization at all) bounds both
- * modes from above on one box. Every
+ * Unix-domain/TCP sockets otherwise; the in-process DncD baseline (no
+ * serialization at all) bounds both modes from above on one box. Every
  * point stamps per-message-type frame/byte counts per (lane-)step from
  * the channels' WireTrafficStats. Results land in BENCH_shard.json (CI
  * artifact) next to the other bench JSONs.

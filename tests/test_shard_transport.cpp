@@ -26,7 +26,7 @@
 namespace hima {
 namespace {
 
-/** Fresh Unix socket path per test so concurrent/retried runs never collide. */
+/** Fresh Unix socket path per test: concurrent runs never collide. */
 std::string
 uniqueSockPath(const char *tag)
 {
